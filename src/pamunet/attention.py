@@ -1,26 +1,30 @@
 """Attention gates for the decoder skip connections.
 
-All four variants share one skeleton: the stage's upsampled decoder feature
-``x`` is augmented with attended values and concatenated with the encoder
-residual.  They differ in where queries/keys/values come from:
+All gates share one skeleton: the stage's upsampled decoder feature ``x`` is
+augmented with attended values and concatenated with the encoder residual.
+They differ in where queries/keys/values come from:
 
-* progressive (PLA): the lower decoder feature is refined by an IR block and
-  upsampled by the gate's own transposed conv, then split into key/value; the
-  encoder residual is the query, unprojected.
-* self: Q, K, V are all 1x1 projections of ``x``.
-* cross: Q projects the encoder residual; K, V project ``x``.
-* additive: like cross, but scores come from a single-hidden-layer scorer
-  v . tanh(W1 q + W2 k) instead of the scaled dot product.
+* progressive (PLA, :class:`PLAGate`): the lower decoder feature is refined by
+  an IR block and upsampled by the gate's own transposed conv, then split into
+  key/value; the encoder residual is the query, unprojected.
+* self and cross (:class:`DotAttentionGate`): K, V are 1x1 projections of
+  ``x``; Q projects ``x`` (self) or the encoder residual (cross).  Both are
+  the dot-score attention of Luong et al. (arXiv 1508.04025), scaled by
+  1/sqrt(d).
+* additive (:class:`AdditiveAttentionGate`): like cross, but scores come from
+  a single-hidden-layer scorer v . tanh(W1 q + W2 k).
 
 Attended values enter the stream as ``x + gain * attended`` with a learnable
 scalar ``gain``.  With every gate parameter zeroed this makes a gate an exact
 pass-through *and* an SGD fixed point (all gate gradients vanish), so a
 zero-initialized attention model trains identically to the attention-free one.
 
-Weight maps (softmax over the key axis) are materialized in full only when
-both grids have at most ``MATERIALIZE_LIMIT`` positions; beyond that the
-scaled-dot path switches to a chunked computation that recomputes weights in
-backward and feeds the regularizer a streamed variance instead of the map.
+A gate returns its merged feature and one regularizer entry.  Weight maps
+(softmax over the key axis) are materialized in full, and returned as that
+entry, only when both grids have at most ``MATERIALIZE_LIMIT`` positions;
+beyond that the scaled-dot path switches to a chunked computation that
+recomputes weights in backward and returns a streamed variance instead of the
+map.  Every gate yields its own FLOPs rows through ``mac_sites``.
 """
 
 from __future__ import annotations
@@ -210,18 +214,24 @@ def _scalar_param() -> Tensor:
     return Tensor(np.zeros(()), requires_grad=True)
 
 
+def _scores_site(prefix: str, up_hw, d_score: int, d_value: int):
+    """MAC row of one attention map over an ``up_hw`` grid on both sides:
+    Lq*Lk*d_score for the scores plus Lq*Lk*d_value for weights @ values."""
+    l = up_hw[0] * up_hw[1]
+    return f"{prefix}.scores", "attention", l * l * d_score + l * l * d_value
+
+
 class _GateBase(Module):
-    """Common merge logic and map bookkeeping for all gate variants."""
+    """Grid check, dot attention and merge shared by all gate variants.
+
+    Each gate also yields its own FLOPs rows through
+    ``mac_sites(prefix, low_hw, up_hw)``, where ``low_hw`` is the grid of the
+    lower decoder feature and ``up_hw`` the upsampled grid the gate attends on.
+    """
 
     def __init__(self):
         super().__init__()
         self.materialize_limit = MATERIALIZE_LIMIT
-        self._last_attention: Tensor | None = None
-
-    @property
-    def last_attention(self) -> Tensor | None:
-        """Most recent attention map; None when the grid was too large to keep."""
-        return self._last_attention
 
     def _check_grids(self, x: Tensor, skip: Tensor) -> None:
         if x.shape[0] != skip.shape[0] or x.shape[2:] != skip.shape[2:]:
@@ -234,15 +244,13 @@ class _GateBase(Module):
         """Returns (attended sequence, regularizer entry: map or variance)."""
         lq, lk = q.shape[1], k.shape[1]
         if max(lq, lk) <= self.materialize_limit:
-            attended, weights = scaled_dot_attention(q, k, v)
-            self._last_attention = weights
-            return attended, weights
-        attended, var = scaled_dot_attention_streaming(q, k, v)
-        self._last_attention = None
-        return attended, var
+            return scaled_dot_attention(q, k, v)
+        return scaled_dot_attention_streaming(q, k, v)
 
-    def _merge(self, x: Tensor, attended_img: Tensor) -> Tensor:
-        return T.add(x, T.mul(self.gain, attended_img))
+    def _merge(self, x: Tensor, attended: Tensor) -> Tensor:
+        """x + gain * attended, with the attended sequence laid out on x's grid."""
+        h, w = x.shape[2:]
+        return T.add(x, T.mul(self.gain, to_image(attended, h, w)))
 
 
 class PLAGate(_GateBase):
@@ -251,7 +259,6 @@ class PLAGate(_GateBase):
 
     def __init__(self, c_low: int, c: int, expansion: int = 6):
         super().__init__()
-        self.key_dimension = c
         self.refine = IRBlock(c_low, c_low, stride=1, expansion=expansion)
         self.upsample = ConvTranspose2d(c_low, c, k=2, stride=2)
         self.kv = PointwiseConv(c, 2 * c)
@@ -264,22 +271,24 @@ class PLAGate(_GateBase):
         k_img, v_img = T.split(self.kv(kv_src), 2, axis=1)
         q = to_sequence(skip)
         attended, reg_entry = self._dot_attend(q, to_sequence(k_img), to_sequence(v_img))
-        h, w = skip.shape[2:]
-        return self._merge(x, to_image(attended, h, w)), reg_entry
+        return self._merge(x, attended), reg_entry
+
+    def mac_sites(self, prefix: str, low_hw, up_hw):
+        c = self.kv.c_in
+        yield f"{prefix}.refine", "irblock", self.refine.macs(low_hw)
+        yield f"{prefix}.upsample", "conv_transpose", self.upsample.macs(low_hw)
+        yield f"{prefix}.kv", "pointwise", self.kv.macs(up_hw)
+        yield _scores_site(prefix, up_hw, c, c)
 
 
-def pla_forward(gate: PLAGate, decoder_low: Tensor, encoder_residual: Tensor):
-    """Run a PLA gate with the gate's own path supplying the decoder stream."""
-    x = gate.upsample(gate.refine(decoder_low))
-    return gate.forward(decoder_low, x, encoder_residual)
+class DotAttentionGate(_GateBase):
+    """Dot-score gate over 1x1 projections: K and V project the upsampled
+    decoder feature; Q projects that same feature (self) or, with ``cross``,
+    the encoder residual."""
 
-
-class SelfAttentionGate(_GateBase):
-    """Q, K, V all projected from the upsampled decoder feature itself."""
-
-    def __init__(self, c: int):
+    def __init__(self, c: int, cross: bool):
         super().__init__()
-        self.key_dimension = c
+        self.cross = cross
         self.q_proj = PointwiseConv(c, c)
         self.k_proj = PointwiseConv(c, c)
         self.v_proj = PointwiseConv(c, c)
@@ -287,31 +296,17 @@ class SelfAttentionGate(_GateBase):
 
     def forward(self, decoder_low: Tensor, x: Tensor, skip: Tensor):
         self._check_grids(x, skip)
-        q = to_sequence(self.q_proj(x))
+        q = to_sequence(self.q_proj(skip if self.cross else x))
         attended, reg_entry = self._dot_attend(
             q, to_sequence(self.k_proj(x)), to_sequence(self.v_proj(x)))
-        h, w = x.shape[2:]
-        return self._merge(x, to_image(attended, h, w)), reg_entry
+        return self._merge(x, attended), reg_entry
 
-
-class CrossAttentionGate(_GateBase):
-    """Q projects the encoder residual; K, V project the decoder feature."""
-
-    def __init__(self, c: int):
-        super().__init__()
-        self.key_dimension = c
-        self.q_proj = PointwiseConv(c, c)
-        self.k_proj = PointwiseConv(c, c)
-        self.v_proj = PointwiseConv(c, c)
-        self.gain = _scalar_param()
-
-    def forward(self, decoder_low: Tensor, x: Tensor, skip: Tensor):
-        self._check_grids(x, skip)
-        q = to_sequence(self.q_proj(skip))
-        attended, reg_entry = self._dot_attend(
-            q, to_sequence(self.k_proj(x)), to_sequence(self.v_proj(x)))
-        h, w = x.shape[2:]
-        return self._merge(x, to_image(attended, h, w)), reg_entry
+    def mac_sites(self, prefix: str, low_hw, up_hw):
+        c = self.v_proj.c_out
+        yield f"{prefix}.q_proj", "pointwise", self.q_proj.macs(up_hw)
+        yield f"{prefix}.k_proj", "pointwise", self.k_proj.macs(up_hw)
+        yield f"{prefix}.v_proj", "pointwise", self.v_proj.macs(up_hw)
+        yield _scores_site(prefix, up_hw, c, c)
 
 
 class AdditiveAttentionGate(_GateBase):
@@ -319,7 +314,6 @@ class AdditiveAttentionGate(_GateBase):
 
     def __init__(self, c: int, hidden: int | None = None):
         super().__init__()
-        self.key_dimension = c
         self.hidden = hidden if hidden is not None else c
         self.w_q = PointwiseConv(c, self.hidden)
         self.w_k = PointwiseConv(c, self.hidden)
@@ -339,27 +333,21 @@ class AdditiveAttentionGate(_GateBase):
         kp = to_sequence(self.w_k(x))
         scores = additive_scores(qp, kp, self.score_v)
         weights = T.softmax(scores, axis=2)
-        self._last_attention = weights
         attended = T.matmul(weights, to_sequence(self.v_proj(x)))
-        h, w = x.shape[2:]
-        return self._merge(x, to_image(attended, h, w)), weights
+        return self._merge(x, attended), weights
 
-
-GATE_VARIANTS = {
-    "pla": PLAGate,
-    "self": SelfAttentionGate,
-    "cross": CrossAttentionGate,
-    "additive": AdditiveAttentionGate,
-}
+    def mac_sites(self, prefix: str, low_hw, up_hw):
+        yield f"{prefix}.w_q", "pointwise", self.w_q.macs(up_hw)
+        yield f"{prefix}.w_k", "pointwise", self.w_k.macs(up_hw)
+        yield f"{prefix}.v_proj", "pointwise", self.v_proj.macs(up_hw)
+        yield _scores_site(prefix, up_hw, self.hidden, self.v_proj.c_out)
 
 
 def make_gate(variant: str, c_low: int, c: int, expansion: int = 6) -> _GateBase:
     if variant == "pla":
         return PLAGate(c_low, c, expansion=expansion)
-    if variant == "self":
-        return SelfAttentionGate(c)
-    if variant == "cross":
-        return CrossAttentionGate(c)
+    if variant in ("self", "cross"):
+        return DotAttentionGate(c, cross=variant == "cross")
     if variant == "additive":
         return AdditiveAttentionGate(c)
     raise ValueError(f"unknown attention variant: {variant!r}")

@@ -64,28 +64,6 @@ class Module:
         return self.forward(*args, **kwargs)
 
 
-class ModuleList(Module):
-    def __init__(self, modules=()):
-        super().__init__()
-        self._items: list[Module] = []
-        for m in modules:
-            self.append(m)
-
-    def append(self, module: Module) -> Module:
-        self.register_child(str(len(self._items)), module)
-        self._items.append(module)
-        return module
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self):
-        return len(self._items)
-
-    def __getitem__(self, i):
-        return self._items[i]
-
-
 def _zeros(*shape) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=True)
 
@@ -243,6 +221,10 @@ class UpBlock(Module):
     ``fuse_in`` widens the IR block's input for the decoder, where a skip
     connection is concatenated between the two halves; the plain forward path
     is only valid without that widening.
+
+    Decoder up blocks share one interface: ``deconv`` upsamples, ``fuse(m)``
+    runs the second half on the concatenated map ``m``, and
+    ``fuse_site(prefix, hw)`` is the FLOPs row of that fuse at grid ``hw``.
     """
 
     def __init__(self, c_in: int, c_out: int, expansion: int = 6, fuse_in: int | None = None):
@@ -261,6 +243,27 @@ class UpBlock(Module):
     def macs(self, hw) -> int:
         up_hw = self.deconv.out_hw(hw)
         return self.deconv.macs(hw) + self.ir.macs(up_hw)
+
+    def fuse(self, m):
+        return self.ir(m)
+
+    def fuse_site(self, prefix: str, hw):
+        return f"{prefix}.ir", "irblock", self.ir.macs(hw)
+
+
+class VanillaUpBlock(Module):
+    """Plain decoder stage: transposed conv then a 3x3 conv, no IR refinement."""
+
+    def __init__(self, c_in: int, c_out: int, fuse_in: int):
+        super().__init__()
+        self.deconv = ConvTranspose2d(c_in, c_out, k=2, stride=2)
+        self.conv = Conv2d(fuse_in, c_out, k=3, stride=1, padding=1)
+
+    def fuse(self, m):
+        return T.relu6(self.conv(m))
+
+    def fuse_site(self, prefix: str, hw):
+        return f"{prefix}.conv", "conv", self.conv.macs(hw)
 
 
 def _fan_in(shape: tuple[int, ...]) -> int:

@@ -23,7 +23,7 @@ from pamunet.data import (FormatError, Manifest, load_split, synth_batch,
                           synth_generate, write_image, write_mask)
 from pamunet.flops import count_flops
 from pamunet.model import (ATTENTION_VARIANTS, DECODER_KINDS, PAMUNetConfig,
-                           build, predict_mask)
+                           binary_mask, build)
 from pamunet.train import (NumericError, TrainConfig, evaluate, load_checkpoint,
                            require_split, run_training, save_checkpoint)
 
@@ -38,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 MODEL_KEYS = ("levels", "base_channels", "expansion_factor", "attention_variant",
-              "decoder_kind", "input_size", "in_channels", "threshold", "lambda_reg")
+              "decoder_kind", "input_size", "in_channels", "threshold")
 TRAIN_KEYS = ("lr", "momentum", "weight_decay", "batch_size", "epochs", "seed",
               "lambda_reg", "augment")
 
@@ -53,9 +53,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--decoder-kind", choices=DECODER_KINDS, help="decoder style (default mobile)")
     p.add_argument("--input-size", type=int, help="square input size (default 128)")
     p.add_argument("--in-channels", type=int, choices=(1, 3), help="input channels (default 1)")
-    p.add_argument("--threshold", type=float, help="mask threshold (default 0.5)")
-    p.add_argument("--lambda-reg", type=float,
-                   help="attention regularization weight (default 0.01)")
+    p.add_argument("--threshold", type=float, help="mask threshold in (0, 1) (default 0.5)")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -65,11 +63,10 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch-size", type=int, help="batch size (default 8)")
     p.add_argument("--epochs", type=int, help="training epochs (default 10)")
     p.add_argument("--seed", type=int, help="run seed (default 0)")
+    p.add_argument("--lambda-reg", type=float,
+                   help="attention regularization weight (default 0.01)")
     p.add_argument("--augment", action=argparse.BooleanOptionalAction, default=None,
                    help="random flips/90-degree rotations (default off)")
-    p.add_argument("--deterministic", action=argparse.BooleanOptionalAction, default=True,
-                   help="guard against nondeterministic reductions (this build has "
-                        "none; kept for compatibility, default on)")
 
 
 def _load_json_config(path) -> dict:
@@ -176,12 +173,12 @@ def cmd_predict(args) -> int:
     if args.attention_dir:
         os.makedirs(args.attention_dir, exist_ok=True)
     for sample in samples:
-        x = T.Tensor(sample.image.data[None])
-        mask = predict_mask(model, x)
-        write_mask(os.path.join(args.out, f"{sample.id}_mask.pgm"), mask.data[0])
+        with T.no_grad():
+            out = model.forward(T.Tensor(sample.image.data[None]))
+            probs = T.sigmoid(out.logits)
+        mask = binary_mask(probs.data[0], model.config.threshold)
+        write_mask(os.path.join(args.out, f"{sample.id}_mask.pgm"), mask)
         if args.attention_dir:
-            with T.no_grad():
-                out = model.forward(x)
             for j, entry in enumerate(out.gate_maps):
                 if entry.ndim != 3:
                     continue  # streamed gate: no materialized map to export

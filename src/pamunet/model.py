@@ -6,12 +6,18 @@ capture): ``stem``, ``enc{i}.block{0,1}``, ``bottleneck.{ir,reduce}``,
 ``enc{i}``, ``bottleneck``, ``dec{i}`` and ``head``: one per stage plus the
 bottleneck and the logits, 2*levels + 2 in total.
 
-Every decoder stage doubles resolution with a stride-2 transposed conv,
-optionally runs an attention gate against the matching encoder residual,
-concatenates the residual, and fuses.  The deepest ``levels - 1`` skips come
-from encoder stages and carry gates; the final full-resolution skip comes from
-the stem and is a plain concatenation, which keeps every attention grid at or
-below 64x64 positions for 128x128 inputs.
+Every decoder stage doubles resolution with its up block's stride-2
+transposed conv, optionally runs an attention gate against the matching
+encoder residual, concatenates the residual, and fuses through the up block's
+``fuse``.  The deepest ``levels - 1`` skips come from encoder stages and carry
+gates; the final full-resolution skip comes from the stem and is a plain
+concatenation, which keeps every attention grid at or below 64x64 positions
+for 128x128 inputs.
+
+``decoder_kind`` only picks the up block class (``UpBlock`` for mobile,
+``VanillaUpBlock`` for vanilla).  Gates and up blocks yield their own FLOPs
+rows, so neither forward nor ``mac_sites`` branches on the decoder kind or the
+gate variant.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ import numpy as np
 
 from pamunet import tensor as T
 from pamunet.attention import make_gate
-from pamunet.blocks import (Conv2d, ConvTranspose2d, IRBlock, Module,
-                            PointwiseConv, UpBlock, init_parameters)
+from pamunet.blocks import (Conv2d, ConvTranspose2d, IRBlock, Module, PointwiseConv,
+                            UpBlock, VanillaUpBlock, init_parameters)
 from pamunet.tensor import ShapeError, Tensor
 
 ATTENTION_VARIANTS = ("none", "self", "cross", "additive", "pla")
@@ -41,7 +47,6 @@ class PAMUNetConfig:
     input_size: tuple[int, int] = (128, 128)
     in_channels: int = 1
     threshold: float = 0.5
-    lambda_reg: float = 0.01
 
     def __post_init__(self):
         self.input_size = tuple(self.input_size)
@@ -55,6 +60,12 @@ class PAMUNetConfig:
         if len(self.channel_schedule) != self.levels:
             raise ValueError(
                 f"channel_schedule length {len(self.channel_schedule)} != levels {self.levels}")
+        if min(self.channel_schedule) < 1:
+            raise ValueError(f"channel_schedule entries must be >= 1, got {self.channel_schedule}")
+        if self.expansion_factor < 1:
+            raise ValueError(f"expansion_factor must be >= 1, got {self.expansion_factor}")
+        if not 0 < self.threshold < 1:
+            raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
         if self.attention_variant not in ATTENTION_VARIANTS:
             raise ValueError(f"attention_variant must be one of {ATTENTION_VARIANTS}, "
                              f"got {self.attention_variant!r}")
@@ -75,19 +86,9 @@ class PAMUNetConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PAMUNetConfig":
-        return cls(**d)
-
-
-class VanillaUpBlock(Module):
-    """Plain decoder stage: transposed conv then a 3x3 conv, no IR refinement."""
-
-    def __init__(self, c_in: int, c_out: int, fuse_in: int):
-        super().__init__()
-        self.deconv = ConvTranspose2d(c_in, c_out, k=2, stride=2)
-        self.conv = Conv2d(fuse_in, c_out, k=3, stride=1, padding=1)
-
-    def fuse(self, m):
-        return T.relu6(self.conv(m))
+        # checkpoints written while lambda_reg was a model field still carry it;
+        # training reads it from TrainConfig only
+        return cls(**{k: v for k, v in d.items() if k != "lambda_reg"})
 
 
 @dataclass
@@ -130,14 +131,14 @@ class PAMUNet(Module):
         # decoder stage j consumes skip j: enc[levels-2-j] output, stem for the last
         skip_ch = [ch[levels - 2 - j] for j in range(levels - 1)] + [c0]
         self._dec_stages = []
+        mobile = config.decoder_kind == "mobile"
         d_in = reduced
         for j in range(levels):
             out = skip_ch[j]
             stage = Module()
-            if config.decoder_kind == "mobile":
-                stage.register_child("up", UpBlock(d_in, out, expansion=t, fuse_in=2 * out))
-            else:
-                stage.register_child("up", VanillaUpBlock(d_in, out, fuse_in=2 * out))
+            up = (UpBlock(d_in, out, expansion=t, fuse_in=2 * out) if mobile
+                  else VanillaUpBlock(d_in, out, fuse_in=2 * out))
+            stage.register_child("up", up)
             if config.attention_variant != "none" and j < levels - 1:
                 stage.register_child(
                     "gate", make_gate(config.attention_variant, d_in, out, expansion=t))
@@ -178,14 +179,13 @@ class PAMUNet(Module):
         for j, stage in enumerate(self._dec_stages):
             skip = skips[len(skips) - 2 - j]
             x_up = stage.up.deconv(h)
-            gate = stage._children.get("gate")
+            gate = getattr(stage, "gate", None)
             if gate is not None:
                 y, entry = gate(h, x_up, skip)
                 gate_maps.append(entry)
             else:
                 y = x_up
-            m = T.concat([y, skip], axis=1)
-            h = stage.up.ir(m) if cfg.decoder_kind == "mobile" else stage.up.fuse(m)
+            h = stage.up.fuse(T.concat([y, skip], axis=1))
             grab(f"dec{j}", h)
 
         logits = self.head(h)
@@ -197,14 +197,10 @@ class PAMUNet(Module):
         return ([f"enc{i}" for i in range(levels)] + ["bottleneck"]
                 + [f"dec{j}" for j in range(levels)] + ["head"])
 
-    def parameter_shapes(self) -> dict[str, tuple[int, ...]]:
-        return {name: tuple(p.shape) for name, p in self.named_parameters()}
-
     def mac_sites(self, input_size: tuple[int, int] | None = None):
         """Yield (layer name, kind, MAC count) for every multiply-bearing site,
         walking the same structure as forward at the given input size."""
-        cfg = self._config
-        hw = tuple(input_size) if input_size is not None else cfg.input_size
+        hw = tuple(input_size) if input_size is not None else self._config.input_size
         yield "stem", "conv", self.stem.macs(hw)
         for i, stage in enumerate(self._enc_stages):
             yield f"enc{i}.block0", "irblock", stage.block0.macs(hw)
@@ -214,39 +210,14 @@ class PAMUNet(Module):
         yield "bottleneck.ir", "irblock", self.bottleneck.ir.macs(hw)
         yield "bottleneck.reduce", "pointwise", self.bottleneck.reduce.macs(hw)
         for j, stage in enumerate(self._dec_stages):
-            low_hw = hw
             up_hw = stage.up.deconv.out_hw(hw)
-            yield f"dec{j}.up.deconv", "conv_transpose", stage.up.deconv.macs(low_hw)
-            gate = stage._children.get("gate")
+            yield f"dec{j}.up.deconv", "conv_transpose", stage.up.deconv.macs(hw)
+            gate = getattr(stage, "gate", None)
             if gate is not None:
-                yield from self._gate_sites(f"dec{j}.gate", gate, low_hw, up_hw)
-            if cfg.decoder_kind == "mobile":
-                yield f"dec{j}.up.ir", "irblock", stage.up.ir.macs(up_hw)
-            else:
-                yield f"dec{j}.up.conv", "conv", stage.up.conv.macs(up_hw)
+                yield from gate.mac_sites(f"dec{j}.gate", hw, up_hw)
+            yield stage.up.fuse_site(f"dec{j}.up", up_hw)
             hw = up_hw
         yield "head", "conv_transpose", self.head.macs(hw)
-
-    @staticmethod
-    def _gate_sites(prefix, gate, low_hw, up_hw):
-        l = up_hw[0] * up_hw[1]
-        c = gate.key_dimension
-        kind = type(gate).__name__
-        if kind == "PLAGate":
-            yield f"{prefix}.refine", "irblock", gate.refine.macs(low_hw)
-            yield f"{prefix}.upsample", "conv_transpose", gate.upsample.macs(low_hw)
-            yield f"{prefix}.kv", "pointwise", gate.kv.macs(up_hw)
-            yield f"{prefix}.scores", "attention", l * l * c + l * l * c
-        elif kind in ("SelfAttentionGate", "CrossAttentionGate"):
-            yield f"{prefix}.q_proj", "pointwise", gate.q_proj.macs(up_hw)
-            yield f"{prefix}.k_proj", "pointwise", gate.k_proj.macs(up_hw)
-            yield f"{prefix}.v_proj", "pointwise", gate.v_proj.macs(up_hw)
-            yield f"{prefix}.scores", "attention", l * l * c + l * l * c
-        else:  # additive
-            yield f"{prefix}.w_q", "pointwise", gate.w_q.macs(up_hw)
-            yield f"{prefix}.w_k", "pointwise", gate.w_k.macs(up_hw)
-            yield f"{prefix}.v_proj", "pointwise", gate.v_proj.macs(up_hw)
-            yield f"{prefix}.scores", "attention", l * l * gate.hidden + l * l * c
 
 
 def build(config: PAMUNetConfig, seed: int, zero_init_gates: bool = False) -> PAMUNet:
@@ -260,9 +231,13 @@ def build(config: PAMUNetConfig, seed: int, zero_init_gates: bool = False) -> PA
     return model
 
 
+def binary_mask(probs: np.ndarray, threshold: float) -> np.ndarray:
+    """The mask rule: probs >= threshold as 0/1 (ties go to foreground)."""
+    return (probs >= threshold).astype(probs.dtype)
+
+
 def predict_mask(model: PAMUNet, x: Tensor) -> Tensor:
-    """Binary mask: sigmoid(logits) >= threshold (ties go to foreground)."""
+    """Binary mask of one no-grad forward: sigmoid(logits) >= threshold."""
     with T.no_grad():
-        logits = model.forward(x).logits
-        probs = T.sigmoid(logits)
-    return Tensor._wrap((probs.data >= model.config.threshold).astype(probs.data.dtype), False)
+        probs = T.sigmoid(model.forward(x).logits)
+    return Tensor._wrap(binary_mask(probs.data, model.config.threshold), False)

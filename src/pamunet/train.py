@@ -8,7 +8,7 @@ so same-seed runs produce byte-identical checkpoints.
 Checkpoint layout (``*.pamckpt``): 8-byte magic, little-endian uint64 header
 length, canonical JSON header (model config, epoch, seed, ordered parameter
 names/shapes), then raw float32 little-endian parameter blobs in header
-order, then optimizer velocity blobs when present.
+order, then optimizer velocity blobs when present; nothing follows them.
 """
 
 from __future__ import annotations
@@ -24,11 +24,12 @@ from pamunet import tensor as T
 from pamunet.data import AUGMENT_OPS, Manifest, Sample, augment, load_split
 from pamunet.losses import CLAMP_EPS, total_loss
 from pamunet.metrics import MetricReport, dice
-from pamunet.model import PAMUNet, PAMUNetConfig, build, predict_mask
+from pamunet.model import PAMUNet, PAMUNetConfig, binary_mask, build, predict_mask
 from pamunet.tensor import Tensor
 
 CHECKPOINT_MAGIC = b"PAMCKPT1"
 CHECKPOINT_VERSION = 1
+CHECKPOINT_KEYS = ("version", "config", "epoch", "seed", "params", "has_velocities")
 TRAIN_LOG_HEADER = "epoch,seg_loss,reg_loss,total_loss,train_dice"
 
 
@@ -114,39 +115,55 @@ def save_checkpoint(path, model: PAMUNet, epoch: int = 0, seed: int = 0,
                 fh.write(np.ascontiguousarray(velocities[name], dtype="<f4").tobytes())
 
 
+def _read_blobs(data: bytes, pos: int, shapes: dict[str, tuple[int, ...]],
+                section: str) -> tuple[dict[str, np.ndarray], int]:
+    """Read one float32 blob per name, in order, from ``data[pos:]``."""
+    out = {}
+    for name, shape in shapes.items():
+        n = 4 * int(np.prod(shape, dtype=np.int64))
+        raw = data[pos:pos + n]
+        if len(raw) != n:
+            raise ValueError(f"checkpoint truncated while reading {section} {name}")
+        out[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
+        pos += n
+    return out, pos
+
+
 def load_checkpoint(path) -> tuple[PAMUNet, dict]:
     """Rebuild the model; returns (model, extras) with epoch/seed/velocities."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:8] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path} is not a checkpoint (bad magic)")
+    if len(data) < 16:
+        raise ValueError(f"{path}: checkpoint truncated in its header length")
     (hlen,) = struct.unpack("<Q", data[8:16])
     header = json.loads(data[16:16 + hlen].decode("utf-8"))
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: checkpoint header is not a JSON object")
+    missing = [k for k in CHECKPOINT_KEYS if k not in header]
+    if missing:
+        raise ValueError(f"{path}: checkpoint header lacks {', '.join(missing)}")
     if header["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint version {header['version']} unsupported "
                          f"(expected {CHECKPOINT_VERSION})")
-    config = PAMUNetConfig.from_dict(header["config"])
+    try:
+        config = PAMUNetConfig.from_dict(header["config"])
+    except (AttributeError, TypeError) as e:  # not a dict, unknown key, wrong value type
+        raise ValueError(f"{path}: bad model config in checkpoint: {e}") from e
     model = PAMUNet(config)
     named = dict(model.named_parameters())
-    stored = [name for name, _ in header["params"]]
-    if stored != list(named):
-        raise ValueError("checkpoint parameter names do not match the model structure")
-    pos = 16 + hlen
-    for name, shape in header["params"]:
-        n = int(np.prod(shape)) if shape else 1
-        raw = data[pos:pos + 4 * n]
-        if len(raw) != 4 * n:
-            raise ValueError(f"checkpoint truncated while reading {name}")
-        named[name].data = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32).copy()
-        pos += 4 * n
+    shapes = {name: p.shape for name, p in named.items()}
+    if header["params"] != [[name, list(shape)] for name, shape in shapes.items()]:
+        raise ValueError("checkpoint parameter names/shapes do not match the model structure")
+    params, pos = _read_blobs(data, 16 + hlen, shapes, "parameter")
+    for name, value in params.items():
+        named[name].data = value
     velocities = None
     if header["has_velocities"]:
-        velocities = {}
-        for name, shape in header["params"]:
-            n = int(np.prod(shape)) if shape else 1
-            velocities[name] = np.frombuffer(
-                data[pos:pos + 4 * n], dtype="<f4").reshape(shape).astype(np.float32).copy()
-            pos += 4 * n
+        velocities, pos = _read_blobs(data, pos, shapes, "velocity")
+    if pos != len(data):
+        raise ValueError(f"{path}: {len(data) - pos} unexpected bytes after the checkpoint data")
     extras = {"epoch": header["epoch"], "seed": header["seed"], "velocities": velocities}
     return model, extras
 
@@ -236,7 +253,7 @@ def train(model: PAMUNet, manifest: Manifest, cfg: TrainConfig,
             sums["seg"] += lb.seg.item() * k
             sums["reg"] += lb.reg.item() * k
             sums["total"] += lb.total.item() * k
-            pred_masks = (probs.data >= threshold).astype(np.float32)
+            pred_masks = binary_mask(probs.data, threshold)
             for i in range(k):
                 dice_scores.append(dice(pred_masks[i], target.data[i]))
         row = {

@@ -106,7 +106,7 @@ def test_zero_initialized_gate_is_identity_and_fixed_point(variant):
 
 
 def test_self_attention_single_position_is_linear_projection():
-    gate = A.SelfAttentionGate(3)
+    gate = A.make_gate("self", 3, 3)
     init_parameters(gate, 3)
     gate.gain.data[...] = 1.0
     x = Tensor(np.random.default_rng(3).standard_normal((1, 3, 1, 1)))
@@ -120,7 +120,7 @@ def test_self_attention_single_position_is_linear_projection():
 
 def test_cross_matches_self_structure_when_sources_coincide():
     x = Tensor(np.random.default_rng(4).standard_normal((1, 3, 2, 2)))
-    self_gate, cross_gate = A.SelfAttentionGate(3), A.CrossAttentionGate(3)
+    self_gate, cross_gate = A.make_gate("self", 3, 3), A.make_gate("cross", 3, 3)
     init_parameters(self_gate, 11)
     init_parameters(cross_gate, 11)
     # same parameter names -> same init; with q_src == kv_src both compute the
@@ -189,7 +189,6 @@ def test_gate_switches_to_streaming_beyond_limit():
     gate.materialize_limit = 8  # grid is 36 positions -> force streaming
     y, entry = gate(d_low, x, skip)
     assert entry.ndim == 0
-    assert gate.last_attention is None
     gate.materialize_limit = A.MATERIALIZE_LIMIT
     y2, entry2 = gate(d_low, x, skip)
     np.testing.assert_allclose(y.data, y2.data, atol=1e-6)

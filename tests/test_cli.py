@@ -10,8 +10,9 @@ import pytest
 
 from pamunet import cli
 from pamunet.data import Manifest, synth_generate
-from pamunet.model import PAMUNetConfig
-from pamunet.train import TrainConfig, evaluate, load_checkpoint, run_training
+from pamunet.model import PAMUNet, PAMUNetConfig, build
+from pamunet.train import (TrainConfig, evaluate, load_checkpoint, run_training,
+                           save_checkpoint)
 
 TINY_MODEL = ["--levels", "2", "--base-channels", "4", "--input-size", "16"]
 
@@ -108,6 +109,45 @@ def test_flops_table_and_csv(tmp_path, capsys):
     body = [r.split(",") for r in rows[1:-1]]
     total = int(rows[-1].split(",")[2])
     assert total == sum(int(r[2]) for r in body)
+
+
+@pytest.mark.parametrize("flag,value,match", [
+    ("--base-channels", "0", "channel_schedule"),
+    ("--threshold", "1.5", "threshold"),
+])
+def test_flops_rejects_bad_config(flag, value, match, capsys):
+    assert run(["flops", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and match in err
+
+
+def test_lambda_reg_is_a_train_flag():
+    args = cli.build_parser().parse_args(
+        ["train", "--data", "d", "--out", "o", "--lambda-reg", "0.5"])
+    assert cli._train_config(args).lambda_reg == 0.5
+    assert "lambda_reg" not in cli._model_config(args).to_dict()
+    assert run(["flops", "--lambda-reg", "7"]) == 1
+    assert run(["train", "--data", "d", "--out", "o", "--deterministic"]) == 1
+
+
+def test_predict_runs_one_forward_per_image(tmp_path, dataset, monkeypatch):
+    ckpt = tmp_path / "m.pamckpt"
+    model = build(PAMUNetConfig(levels=2, base_channels=4, input_size=(16, 16)), seed=2)
+    save_checkpoint(ckpt, model)
+    calls = []
+    forward = PAMUNet.forward
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(PAMUNet, "forward", counting)
+    attn_dir = tmp_path / "attn"
+    assert run(["predict", "--ckpt", str(ckpt), "--data", str(dataset), "--split", "train",
+                "--out", str(tmp_path / "pred"), "--attention-dir", str(attn_dir)]) == 0
+    images = len(Manifest.load(dataset).split("train"))
+    assert len(calls) == images
+    assert len(list(attn_dir.glob("*_gate*.pgm"))) == images  # one gated skip at levels 2
 
 
 def test_cka_between_checkpoints(tmp_path, dataset):

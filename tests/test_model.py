@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from gradcheck import check_gradients
+from pamunet import attention as A
 from pamunet import tensor as T
+from pamunet.flops import count_flops
 from pamunet.model import PAMUNet, PAMUNetConfig, build, predict_mask
 from pamunet.tensor import ShapeError, Tensor
 
@@ -122,9 +124,28 @@ def test_forward_rejects_wrong_shape():
 
 
 def test_config_roundtrips_through_dict():
-    cfg = tiny_config(attention_variant="cross", lambda_reg=0.05)
+    cfg = tiny_config(attention_variant="cross")
     again = PAMUNetConfig.from_dict(cfg.to_dict())
     assert again == cfg
+
+
+def test_config_loads_legacy_lambda_reg_key():
+    # checkpoints written while lambda_reg was a model field carry the key
+    legacy = {**tiny_config().to_dict(), "lambda_reg": 0.05}
+    assert PAMUNetConfig.from_dict(legacy) == tiny_config()
+
+
+@pytest.mark.parametrize("kw,match", [
+    (dict(base_channels=0), "channel_schedule"),
+    (dict(channel_schedule=[4, 0]), "channel_schedule"),
+    (dict(expansion_factor=0), "expansion_factor"),
+    (dict(threshold=0.0), "threshold"),
+    (dict(threshold=1.0), "threshold"),
+    (dict(threshold=1.5), "threshold"),
+])
+def test_config_rejects_out_of_range_fields(kw, match):
+    with pytest.raises(ValueError, match=match):
+        tiny_config(**kw)
 
 
 def test_mac_sites_walk_the_whole_model():
@@ -134,6 +155,41 @@ def test_mac_sites_walk_the_whole_model():
     assert names[0] == "stem" and names[-1] == "head"
     assert any(n.endswith("gate.scores") for n in names)
     assert all(m > 0 for _, _, m in sites)
+
+
+def _op_macs(monkeypatch):
+    """Count MACs at the ops, as the benchmark's self-test does: every output
+    element of a conv costs one kernel slice, every input pixel of a
+    transposed conv one kernel slice, a matmul output element one row."""
+    counted = []
+
+    def wrap(owner, name, rule):
+        orig = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            out = orig(*args, **kwargs)
+            counted.append(rule(args, out))
+            return out
+
+        monkeypatch.setattr(owner, name, counting)
+
+    for name in ("conv2d", "depthwise_conv2d", "pointwise_conv2d"):
+        wrap(T, name, lambda a, out: out.data.size * int(np.prod(a[1].shape[1:])))
+    wrap(T, "conv_transpose2d", lambda a, out: a[0].data.size * int(np.prod(a[1].shape[1:])))
+    wrap(T, "matmul", lambda a, out: out.data.size * a[0].shape[-1])
+    wrap(A, "additive_scores", lambda a, out: out.data.size * a[0].shape[-1])
+    return counted
+
+
+@pytest.mark.parametrize("decoder_kind", ["vanilla", "mobile"])
+@pytest.mark.parametrize("variant", ["none", "self", "cross", "additive", "pla"])
+def test_flops_rows_match_op_macs(variant, decoder_kind, monkeypatch):
+    model = build(tiny_config(attention_variant=variant, decoder_kind=decoder_kind), seed=14)
+    counted = _op_macs(monkeypatch)
+    with T.no_grad():
+        model.forward(Tensor(np.zeros((1, 1, 16, 16))))
+    assert counted
+    assert count_flops(model).total_macs == sum(counted)
 
 
 def test_model_seed_changes_parameters():

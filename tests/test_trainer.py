@@ -1,8 +1,12 @@
 """Optimizer arithmetic, checkpoint round trips, training determinism."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from pamunet import cli
 from pamunet import data as D
 from pamunet import tensor as T
 from pamunet import train as TR
@@ -95,6 +99,53 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
     with pytest.raises(ValueError, match="magic"):
         TR.load_checkpoint(path)
+
+
+def _rewrite_checkpoint(path, edit_header=None, edit_body=None):
+    """Rewrite a checkpoint's JSON header and/or the bytes after it."""
+    data = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", data[8:16])
+    header, body = json.loads(data[16:16 + hlen]), data[16 + hlen:]
+    if edit_header:
+        edit_header(header)
+    if edit_body:
+        body = edit_body(body)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + body)
+
+
+def _saved_with_velocities(tmp_path):
+    model = build(PAMUNetConfig(**TINY), seed=4)
+    path = tmp_path / "v.pamckpt"
+    vel = {n: np.full_like(p.data, 0.5) for n, p in model.named_parameters()}
+    TR.save_checkpoint(path, model, epoch=1, seed=4, velocities=vel)
+    return model, path
+
+
+def test_checkpoint_with_legacy_lambda_reg_key_loads(tmp_path):
+    model, path = _saved_with_velocities(tmp_path)
+    _rewrite_checkpoint(path, edit_header=lambda h: h["config"].update(lambda_reg=0.05))
+    loaded, extras = TR.load_checkpoint(path)
+    assert loaded.config == model.config
+    for (_, a), (_, b) in zip(model.named_parameters(), loaded.named_parameters()):
+        np.testing.assert_array_equal(a.data, b.data)
+    assert all((v == 0.5).all() for v in extras["velocities"].values())
+
+
+@pytest.mark.parametrize("edit_header,edit_body,match", [
+    (lambda h: h.pop("seed"), None, "header lacks seed"),
+    (None, lambda b: b[:-3], "truncated while reading velocity"),
+    (lambda h: h.update(has_velocities=False), None, "unexpected bytes"),
+    (None, lambda b: b + b"\0" * 4, "unexpected bytes"),
+    (lambda h: h["params"][0][1].append(1), None, "do not match"),
+])
+def test_malformed_checkpoint_is_data_error(tmp_path, capsys, edit_header, edit_body, match):
+    _, path = _saved_with_velocities(tmp_path)
+    _rewrite_checkpoint(path, edit_header, edit_body)
+    with pytest.raises(ValueError, match=match):
+        TR.load_checkpoint(path)
+    assert cli.main(["eval", "--ckpt", str(path), "--data", str(tmp_path / "none.tsv")]) == 2
+    assert match in capsys.readouterr().err
 
 
 def _tiny_dataset(tmp_path, count=10, size=16, seed=0):
