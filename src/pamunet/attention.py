@@ -19,12 +19,16 @@ scalar ``gain``.  With every gate parameter zeroed this makes a gate an exact
 pass-through *and* an SGD fixed point (all gate gradients vanish), so a
 zero-initialized attention model trains identically to the attention-free one.
 
-A gate returns its merged feature and one regularizer entry.  Weight maps
-(softmax over the key axis) are materialized in full, and returned as that
-entry, only when both grids have at most ``MATERIALIZE_LIMIT`` positions;
-beyond that the scaled-dot path switches to a chunked computation that
-recomputes weights in backward and returns a streamed variance instead of the
-map.  Every gate yields its own FLOPs rows through ``mac_sites``.
+A gate returns its merged feature and one regularizer entry.  The scaled-dot
+gates pick their path by the per-sample weight-map size ``Lq*Lk*itemsize``:
+up to ``MATERIALIZE_BYTES`` the map (softmax over the key axis) is kept on the
+tape and returned as that entry; beyond it a chunked online-softmax kernel
+recomputes weights in backward and returns a streamed variance instead, so a
+sample takes the same path at every batch size.  The additive gate always
+materializes and refuses grids above ``MATERIALIZE_LIMIT`` positions.  A caller
+that passes a ``maps`` list gets every gate's (N, Lq, Lk) map appended to it,
+streamed or not; no gate keeps a map after its forward.  Every gate yields its
+own FLOPs rows through ``mac_sites``.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ from pamunet import tensor as T
 from pamunet.blocks import ConvTranspose2d, IRBlock, Module, PointwiseConv
 from pamunet.tensor import ShapeError, Tensor, accumulate_grad, record_op
 
-MATERIALIZE_LIMIT = 4096  # max grid positions for storing a full attention map
+MATERIALIZE_BYTES = 16 * 2 ** 20  # max per-sample weight-map bytes kept on the dot tape
+MATERIALIZE_LIMIT = 4096  # max grid positions of the additive gate's full score map
 
 
 # -- reference sequence attention -------------------------------------------
@@ -89,12 +94,14 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor):
     return T.matmul(weights, v), weights
 
 
-def scaled_dot_attention_streaming(q: Tensor, k: Tensor, v: Tensor, chunk: int = 512):
-    """Chunked scaled-dot attention that never materializes the weight map.
+def scaled_dot_attention_streaming(q: Tensor, k: Tensor, v: Tensor, chunk: int = 512,
+                                   weights: np.ndarray | None = None):
+    """Chunked scaled-dot attention that never keeps the weight map on the tape.
 
     Processes query rows in blocks, recomputing the softmax in backward, and
     returns (attended, population variance of all weight entries) so the
-    regularizer stays available without the map.
+    regularizer stays available without the map.  A ``weights`` array of
+    shape (N, Lq, Lk) receives each normalized block as it is computed.
     """
     d = q.shape[-1]
     scale = 1.0 / math.sqrt(d)
@@ -113,6 +120,8 @@ def scaled_dot_attention_streaming(q: Tensor, k: Tensor, v: Tensor, chunk: int =
         s -= s.max(axis=2, keepdims=True)
         np.exp(s, out=s)
         s /= s.sum(axis=2, keepdims=True)
+        if weights is not None:
+            weights[:, lo:hi] = s
         out_data[:, lo:hi] = s @ vd
         w_sum += float(s.sum(dtype=np.float64))
         w_sumsq += float((s * s).sum(dtype=np.float64))
@@ -127,9 +136,10 @@ def scaled_dot_attention_streaming(q: Tensor, k: Tensor, v: Tensor, chunk: int =
 
     def bw(gs):
         g_out, g_var = gs
-        gq = np.zeros_like(qd) if q.requires_grad else None
-        gk = np.zeros_like(kd) if k.requires_grad else None
-        gv = np.zeros_like(vd) if v.requires_grad else None
+        # C-ordered, whatever the layout of the (often transposed) inputs
+        gq = np.zeros(qd.shape, qd.dtype) if q.requires_grad else None
+        gk = np.zeros(kd.shape, kd.dtype) if k.requires_grad else None
+        gv = np.zeros(vd.shape, vd.dtype) if v.requires_grad else None
         for lo in range(0, lq, chunk):
             hi = min(lo + chunk, lq)
             s = (qd[:, lo:hi] @ kt) * scale
@@ -229,10 +239,6 @@ class _GateBase(Module):
     lower decoder feature and ``up_hw`` the upsampled grid the gate attends on.
     """
 
-    def __init__(self):
-        super().__init__()
-        self.materialize_limit = MATERIALIZE_LIMIT
-
     def _check_grids(self, x: Tensor, skip: Tensor) -> None:
         if x.shape[0] != skip.shape[0] or x.shape[2:] != skip.shape[2:]:
             raise ShapeError(
@@ -240,12 +246,20 @@ class _GateBase(Module):
                 "(encoder residual and upsampled decoder feature must align)"
             )
 
-    def _dot_attend(self, q: Tensor, k: Tensor, v: Tensor):
-        """Returns (attended sequence, regularizer entry: map or variance)."""
-        lq, lk = q.shape[1], k.shape[1]
-        if max(lq, lk) <= self.materialize_limit:
-            return scaled_dot_attention(q, k, v)
-        return scaled_dot_attention_streaming(q, k, v)
+    def _dot_attend(self, q: Tensor, k: Tensor, v: Tensor, maps: list | None):
+        """Returns (attended sequence, regularizer entry: map or variance);
+        appends the weight map to ``maps`` when given."""
+        n, lq, _ = q.shape
+        lk = k.shape[1]
+        if lq * lk * q.data.itemsize <= MATERIALIZE_BYTES:
+            attended, entry = scaled_dot_attention(q, k, v)
+            weights = entry.data
+        else:
+            weights = None if maps is None else np.empty((n, lq, lk), q.data.dtype)
+            attended, entry = scaled_dot_attention_streaming(q, k, v, weights=weights)
+        if maps is not None:
+            maps.append(weights)
+        return attended, entry
 
     def _merge(self, x: Tensor, attended: Tensor) -> Tensor:
         """x + gain * attended, with the attended sequence laid out on x's grid."""
@@ -264,13 +278,13 @@ class PLAGate(_GateBase):
         self.kv = PointwiseConv(c, 2 * c)
         self.gain = _scalar_param()
 
-    def forward(self, decoder_low: Tensor, x: Tensor, skip: Tensor):
+    def forward(self, decoder_low: Tensor, x: Tensor, skip: Tensor, maps: list | None = None):
         self._check_grids(x, skip)
         kv_src = self.upsample(self.refine(decoder_low))
         self._check_grids(kv_src, skip)
         k_img, v_img = T.split(self.kv(kv_src), 2, axis=1)
         q = to_sequence(skip)
-        attended, reg_entry = self._dot_attend(q, to_sequence(k_img), to_sequence(v_img))
+        attended, reg_entry = self._dot_attend(q, to_sequence(k_img), to_sequence(v_img), maps)
         return self._merge(x, attended), reg_entry
 
     def mac_sites(self, prefix: str, low_hw, up_hw):
@@ -294,11 +308,11 @@ class DotAttentionGate(_GateBase):
         self.v_proj = PointwiseConv(c, c)
         self.gain = _scalar_param()
 
-    def forward(self, decoder_low: Tensor, x: Tensor, skip: Tensor):
+    def forward(self, decoder_low: Tensor, x: Tensor, skip: Tensor, maps: list | None = None):
         self._check_grids(x, skip)
         q = to_sequence(self.q_proj(skip if self.cross else x))
         attended, reg_entry = self._dot_attend(
-            q, to_sequence(self.k_proj(x)), to_sequence(self.v_proj(x)))
+            q, to_sequence(self.k_proj(x)), to_sequence(self.v_proj(x)), maps)
         return self._merge(x, attended), reg_entry
 
     def mac_sites(self, prefix: str, low_hw, up_hw):
@@ -321,19 +335,21 @@ class AdditiveAttentionGate(_GateBase):
         self.v_proj = PointwiseConv(c, c)
         self.gain = _scalar_param()
 
-    def forward(self, decoder_low: Tensor, x: Tensor, skip: Tensor):
+    def forward(self, decoder_low: Tensor, x: Tensor, skip: Tensor, maps: list | None = None):
         self._check_grids(x, skip)
         lq = skip.shape[2] * skip.shape[3]
-        if lq > self.materialize_limit:
+        if lq > MATERIALIZE_LIMIT:
             raise ShapeError(
                 f"additive attention grid {lq} exceeds the materialization "
-                f"limit {self.materialize_limit}"
+                f"limit {MATERIALIZE_LIMIT}"
             )
         qp = to_sequence(self.w_q(skip))
         kp = to_sequence(self.w_k(x))
         scores = additive_scores(qp, kp, self.score_v)
         weights = T.softmax(scores, axis=2)
         attended = T.matmul(weights, to_sequence(self.v_proj(x)))
+        if maps is not None:
+            maps.append(weights.data)
         return self._merge(x, attended), weights
 
     def mac_sites(self, prefix: str, low_hw, up_hw):

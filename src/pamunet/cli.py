@@ -174,15 +174,14 @@ def cmd_predict(args) -> int:
         os.makedirs(args.attention_dir, exist_ok=True)
     for sample in samples:
         with T.no_grad():
-            out = model.forward(T.Tensor(sample.image.data[None]))
+            out = model.forward(T.Tensor(sample.image.data[None]),
+                                maps=bool(args.attention_dir))
             probs = T.sigmoid(out.logits)
         mask = binary_mask(probs.data[0], model.config.threshold)
         write_mask(os.path.join(args.out, f"{sample.id}_mask.pgm"), mask)
         if args.attention_dir:
-            for j, entry in enumerate(out.gate_maps):
-                if entry.ndim != 3:
-                    continue  # streamed gate: no materialized map to export
-                heat = _attention_heatmap(entry.data[0])
+            for j, weights in enumerate(out.maps):
+                heat = _attention_heatmap(weights[0])
                 write_image(os.path.join(args.attention_dir, f"{sample.id}_gate{j}.pgm"),
                             heat[None].astype(np.float32) / 255.0)
     print(f"wrote {len(samples)} masks to {args.out}")

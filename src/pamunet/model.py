@@ -75,6 +75,8 @@ class PAMUNetConfig:
             raise ValueError(f"in_channels must be 1 or 3, got {self.in_channels}")
         div = 2 ** self.levels
         h, w = self.input_size
+        if h < 1 or w < 1:
+            raise ValueError(f"input size must be positive, got {h}x{w}")
         if h % div or w % div:
             raise ValueError(
                 f"input size {h}x{w} is not divisible by 2^levels = {div}")
@@ -93,9 +95,14 @@ class PAMUNetConfig:
 
 @dataclass
 class ForwardResult:
+    """``gate_maps`` holds each gate's regularizer entry: its weight map on the
+    tape, or the 0-d variance of a streamed gate.  ``maps`` is ``None`` unless
+    ``forward(maps=True)`` asked for it; then it holds every gate's (N, Lq, Lk)
+    weight map as a plain array, streamed gates included, in decoder order."""
     logits: Tensor
     gate_maps: list[Tensor]
     activations: dict[str, Tensor] | None = None
+    maps: list[np.ndarray] | None = None
 
 
 class PAMUNet(Module):
@@ -152,7 +159,7 @@ class PAMUNet(Module):
     def config(self) -> PAMUNetConfig:
         return self._config
 
-    def forward(self, x: Tensor, capture: bool = False) -> ForwardResult:
+    def forward(self, x: Tensor, capture: bool = False, maps: bool = False) -> ForwardResult:
         cfg = self._config
         if x.ndim != 4 or x.shape[1] != cfg.in_channels or x.shape[2:] != cfg.input_size:
             raise ShapeError(
@@ -176,12 +183,13 @@ class PAMUNet(Module):
 
         # skips[-2] pairs with the first decoder stage, skips[0] (stem) with the last
         gate_maps: list[Tensor] = []
+        weight_maps: list[np.ndarray] | None = [] if maps else None
         for j, stage in enumerate(self._dec_stages):
             skip = skips[len(skips) - 2 - j]
             x_up = stage.up.deconv(h)
             gate = getattr(stage, "gate", None)
             if gate is not None:
-                y, entry = gate(h, x_up, skip)
+                y, entry = gate(h, x_up, skip, maps=weight_maps)
                 gate_maps.append(entry)
             else:
                 y = x_up
@@ -190,7 +198,7 @@ class PAMUNet(Module):
 
         logits = self.head(h)
         grab("head", logits)
-        return ForwardResult(logits, gate_maps, acts)
+        return ForwardResult(logits, gate_maps, acts, weight_maps)
 
     def activation_names(self) -> list[str]:
         levels = self._config.levels

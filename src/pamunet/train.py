@@ -57,6 +57,10 @@ class TrainConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.lambda_reg < 0:
+            raise ValueError(f"lambda_reg must be >= 0, got {self.lambda_reg}")
 
 
 class SGD:

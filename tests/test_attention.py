@@ -182,18 +182,68 @@ def test_streaming_matches_materialized_path():
     assert var.item() == pytest.approx(T.variance(w).item(), abs=1e-12)
 
 
-def test_gate_switches_to_streaming_beyond_limit():
+def test_streaming_weights_output_matches_materialized_map():
+    rng = np.random.default_rng(13)
+    q = Tensor(rng.standard_normal((2, 7, 3)))
+    k = Tensor(rng.standard_normal((2, 5, 3)))
+    v = Tensor(rng.standard_normal((2, 5, 4)))
+    _, w = A.scaled_dot_attention(q, k, v)
+    out, var = A.scaled_dot_attention_streaming(q, k, v, chunk=3)
+    weights = np.full((2, 7, 5), np.nan, dtype=q.data.dtype)
+    out_w, var_w = A.scaled_dot_attention_streaming(q, k, v, chunk=3, weights=weights)
+    np.testing.assert_allclose(weights, w.data, atol=1e-6)
+    np.testing.assert_array_equal(out_w.data, out.data)
+    assert var_w.item() == var.item()
+
+
+def test_gate_switches_to_streaming_beyond_limit(monkeypatch):
     d_low, x, skip = _gate_inputs(seed=14)
     gate = A.PLAGate(3, 4)
     init_parameters(gate, 15)
-    gate.materialize_limit = 8  # grid is 36 positions -> force streaming
+    monkeypatch.setattr(A, "MATERIALIZE_BYTES", 0)  # force streaming
     y, entry = gate(d_low, x, skip)
     assert entry.ndim == 0
-    gate.materialize_limit = A.MATERIALIZE_LIMIT
+    monkeypatch.undo()
     y2, entry2 = gate(d_low, x, skip)
     np.testing.assert_allclose(y.data, y2.data, atol=1e-6)
     assert entry.item() == pytest.approx(T.variance(entry2).item(), abs=1e-10)
     T.reset_tape()
+
+
+@pytest.mark.parametrize("side,batches,streamed", [(32, (1, 4), False), (64, (1, 2), True)])
+def test_path_is_chosen_by_per_sample_map_bytes(side, batches, streamed):
+    # float32: a 32x32 grid's map is 4 MiB per sample, a 64x64 grid's 64 MiB
+    gate = A.make_gate("self", 2, 2)
+    init_parameters(gate, 21)
+    for n in batches:
+        d_low, x, skip = _gate_inputs(c_low=2, c=2, h=side // 2, w=side // 2, n=n, seed=22)
+        maps = []
+        with T.no_grad():
+            _, entry = gate(d_low, x, skip, maps=maps)
+        assert (entry.ndim == 0) == streamed
+        assert [m.shape for m in maps] == [(n, side * side, side * side)]
+        np.testing.assert_allclose(maps[0][:, :3].sum(axis=2), 1.0, atol=1e-5)
+
+
+@pytest.mark.parametrize("variant", ["pla", "self", "cross", "additive"])
+@pytest.mark.parametrize("path", ["materialized", "streamed"])
+def test_gate_appends_its_map_on_request(variant, path, monkeypatch):
+    if path == "streamed":
+        monkeypatch.setattr(A, "MATERIALIZE_BYTES", 0)
+    d_low, x, skip = _gate_inputs(seed=23)
+    gate = A.make_gate(variant, 3, 4)
+    init_parameters(gate, 24)
+    with T.no_grad():
+        y, entry = gate(d_low, x, skip)
+        maps = []
+        y_m, entry_m = gate(d_low, x, skip, maps=maps)
+    np.testing.assert_array_equal(y_m.data, y.data)
+    np.testing.assert_array_equal(entry_m.data, entry.data)
+    assert len(maps) == 1 and maps[0].shape == (2, 36, 36)
+    if entry.ndim == 3:  # materialized, and the additive gate on either path
+        np.testing.assert_array_equal(maps[0], entry.data)
+    else:
+        assert float(maps[0].var(dtype=np.float64)) == pytest.approx(entry.item(), rel=1e-5)
 
 
 def test_grid_mismatch_raises():

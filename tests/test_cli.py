@@ -8,8 +8,9 @@ import types
 import numpy as np
 import pytest
 
+from pamunet import attention as A
 from pamunet import cli
-from pamunet.data import Manifest, synth_generate
+from pamunet.data import Manifest, read_image, synth_generate
 from pamunet.model import PAMUNet, PAMUNetConfig, build
 from pamunet.train import (TrainConfig, evaluate, load_checkpoint, run_training,
                            save_checkpoint)
@@ -71,7 +72,7 @@ def test_train_eval_predict_roundtrip(tmp_path, dataset):
     masks = list(pred_dir.glob("*_mask.pgm"))
     assert masks
     heats = list(attn_dir.glob("*_gate*.pgm"))
-    assert heats  # one per materialized gate per sample
+    assert heats  # one per gate per sample
     assert heats[0].read_bytes().startswith(b"P5")
 
 
@@ -114,6 +115,8 @@ def test_flops_table_and_csv(tmp_path, capsys):
 @pytest.mark.parametrize("flag,value,match", [
     ("--base-channels", "0", "channel_schedule"),
     ("--threshold", "1.5", "threshold"),
+    ("--input-size", "0", "input size"),
+    ("--input-size", "-16", "input size"),
 ])
 def test_flops_rejects_bad_config(flag, value, match, capsys):
     assert run(["flops", flag, value]) == 2
@@ -148,6 +151,29 @@ def test_predict_runs_one_forward_per_image(tmp_path, dataset, monkeypatch):
     images = len(Manifest.load(dataset).split("train"))
     assert len(calls) == images
     assert len(list(attn_dir.glob("*_gate*.pgm"))) == images  # one gated skip at levels 2
+
+
+def test_predict_exports_streamed_gate_maps(tmp_path, dataset, monkeypatch):
+    ckpt = tmp_path / "m.pamckpt"
+    model = build(PAMUNetConfig(levels=3, base_channels=4, input_size=(16, 16)), seed=4)
+    for name, p in model.named_parameters():
+        if name.endswith("gain"):
+            p.data[...] = 0.8
+    save_checkpoint(ckpt, model)
+    heats = {}
+    # float32 maps: 4x4 grid 1 KiB, 8x8 grid 16 KiB per sample; 4 KiB streams the 8x8 gate
+    for budget in (A.MATERIALIZE_BYTES, 4096):
+        monkeypatch.setattr(A, "MATERIALIZE_BYTES", budget)
+        attn_dir = tmp_path / f"attn{budget}"
+        assert run(["predict", "--ckpt", str(ckpt), "--data", str(dataset), "--split", "train",
+                    "--out", str(tmp_path / "pred"), "--attention-dir", str(attn_dir)]) == 0
+        heats[budget] = {p.name: read_image(p).data for p in attn_dir.glob("*.pgm")}
+    images = len(Manifest.load(dataset).split("train"))
+    full, streamed = heats[A.MATERIALIZE_BYTES], heats[4096]
+    assert len(streamed) == images * 2 and sorted(streamed) == sorted(full)
+    assert {h.shape for h in streamed.values()} == {(1, 16, 16), (1, 64, 64)}
+    for name, heat in streamed.items():
+        np.testing.assert_allclose(heat, full[name], atol=1.5 / 255)
 
 
 def test_cka_between_checkpoints(tmp_path, dataset):

@@ -51,8 +51,21 @@ def test_zero_input_zero_head_gives_bias_logits():
 def test_variant_none_has_no_gate_maps():
     model = build(tiny_config(attention_variant="none"), seed=2)
     with T.no_grad():
-        out = model.forward(Tensor(np.zeros((1, 1, 16, 16))))
-    assert out.gate_maps == []
+        out = model.forward(Tensor(np.zeros((1, 1, 16, 16))), maps=True)
+    assert out.gate_maps == [] and out.maps == []
+
+
+def test_weight_maps_only_on_request():
+    model = build(PAMUNetConfig(levels=3, base_channels=4, input_size=(32, 32)), seed=2)
+    x = Tensor(np.random.default_rng(2).random((2, 1, 32, 32)))
+    with T.no_grad():
+        plain = model.forward(x)
+        out = model.forward(x, maps=True)
+    assert plain.maps is None
+    np.testing.assert_array_equal(out.logits.data, plain.logits.data)
+    assert [m.shape for m in out.maps] == [(2, 64, 64), (2, 256, 256)]
+    for weights, entry in zip(out.maps, out.gate_maps):
+        np.testing.assert_array_equal(weights, entry.data)
 
 
 @pytest.mark.parametrize("levels,size", [(2, 16), (3, 32)])
@@ -142,6 +155,9 @@ def test_config_loads_legacy_lambda_reg_key():
     (dict(threshold=0.0), "threshold"),
     (dict(threshold=1.0), "threshold"),
     (dict(threshold=1.5), "threshold"),
+    (dict(input_size=(0, 0)), "input size"),
+    (dict(input_size=(16, 0)), "input size"),
+    (dict(input_size=(-16, -16)), "input size"),
 ])
 def test_config_rejects_out_of_range_fields(kw, match):
     with pytest.raises(ValueError, match=match):

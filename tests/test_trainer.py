@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from pamunet import attention as A
 from pamunet import cli
 from pamunet import data as D
 from pamunet import tensor as T
@@ -64,6 +65,23 @@ def test_train_config_validation():
         TR.TrainConfig(momentum=1.0)
     with pytest.raises(ValueError, match="batch_size"):
         TR.TrainConfig(batch_size=0)
+    with pytest.raises(ValueError, match="lambda_reg"):
+        TR.TrainConfig(lambda_reg=-5.0)
+    with pytest.raises(ValueError, match="weight_decay"):
+        TR.TrainConfig(weight_decay=-1.0)
+    TR.TrainConfig(lambda_reg=0.0, weight_decay=0.0)
+
+
+@pytest.mark.parametrize("flag,value", [("--lambda-reg", "-5"), ("--weight-decay", "-1")])
+def test_train_rejects_negative_loss_weights(tmp_path, capsys, flag, value):
+    _tiny_dataset(tmp_path, count=8)
+    ckpt = tmp_path / "m.pamckpt"
+    assert cli.main(["train", "--data", str(tmp_path / "data" / "manifest.tsv"),
+                     "--out", str(ckpt), "--levels", "2", "--base-channels", "4",
+                     "--input-size", "16", "--epochs", "1", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and flag[2:].replace("-", "_") in err
+    assert not ckpt.exists()
 
 
 def test_checkpoint_roundtrip_is_byte_identical(tmp_path):
@@ -173,7 +191,10 @@ def test_epoch_permutation_is_pure_function_of_seed_and_epoch():
     assert not np.array_equal(a, c)
 
 
-def test_zero_init_gates_with_lambda_zero_matches_attention_free(tmp_path):
+@pytest.mark.parametrize("path", ["materialized", "streamed"])
+def test_zero_init_gates_with_lambda_zero_matches_attention_free(tmp_path, monkeypatch, path):
+    if path == "streamed":
+        monkeypatch.setattr(A, "MATERIALIZE_BYTES", 0)
     manifest = _tiny_dataset(tmp_path, count=8)
     cfg = TR.TrainConfig(epochs=3, batch_size=4, seed=1, lambda_reg=0.0)
     plain_model, plain = TR.run_training(
