@@ -55,10 +55,8 @@ class LuongState:
     encoder_states: np.ndarray  # (T, d)
 
 
-def luong_context(state: LuongState, score_kind: str = "dot"):
+def luong_context(state: LuongState):
     """Context vector and weights for multiplicative (dot-score) attention."""
-    if score_kind != "dot":
-        raise ValueError(f"unsupported score kind: {score_kind!r}")
     h = np.asarray(state.encoder_states, dtype=np.float64)
     s = np.asarray(state.decoder_state, dtype=np.float64)
     if h.ndim != 2 or h.shape[0] < 1:

@@ -39,11 +39,6 @@ class Module:
                 self._children[name] = value
         object.__setattr__(self, name, value)
 
-    def register_child(self, name: str, module: "Module") -> "Module":
-        self._children[name] = module
-        object.__setattr__(self, name, module)
-        return module
-
     def named_parameters(self, prefix: str = ""):
         for name, p in self._params.items():
             yield prefix + name, p

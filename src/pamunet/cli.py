@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from pamunet.data import (FormatError, Manifest, load_split, synth_batch,
                           synth_generate, write_image, write_mask)
 from pamunet.flops import count_flops
 from pamunet.model import (ATTENTION_VARIANTS, DECODER_KINDS, PAMUNetConfig,
-                           binary_mask, build)
+                           binary_mask, build, config_from_dict)
 from pamunet.train import (NumericError, TrainConfig, evaluate, load_checkpoint,
                            require_split, run_training, save_checkpoint)
 
@@ -97,11 +98,11 @@ def _model_config(args) -> PAMUNetConfig:
     kw = _merged(args, MODEL_KEYS)
     if isinstance(kw.get("input_size"), int):
         kw["input_size"] = (kw["input_size"], kw["input_size"])
-    return PAMUNetConfig(**kw)
+    return config_from_dict(PAMUNetConfig, kw)
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(**_merged(args, TRAIN_KEYS))
+    return config_from_dict(TrainConfig, _merged(args, TRAIN_KEYS))
 
 
 def _write_text(path, text) -> None:
@@ -166,9 +167,8 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     model, _ = load_checkpoint(args.ckpt)
     manifest = Manifest.load(args.data)
+    require_split(manifest, args.split)
     samples = load_split(manifest, args.split)
-    if not samples:
-        raise ValueError(f"manifest has an empty {args.split!r} split")
     os.makedirs(args.out, exist_ok=True)
     if args.attention_dir:
         os.makedirs(args.attention_dir, exist_ok=True)
@@ -289,13 +289,10 @@ def ablation_csv(rows, means) -> str:
 
 def cmd_ablate(args) -> int:
     manifest = Manifest.load(args.data)
-    model_kw = _merged(args, MODEL_KEYS)
-    if isinstance(model_kw.get("input_size"), int):
-        model_kw["input_size"] = (model_kw["input_size"], model_kw["input_size"])
-    model_kw.pop("attention_variant", None)
-    model_kw.pop("decoder_kind", None)
-    train_kw = _merged(args, TRAIN_KEYS)
-    train_kw.pop("seed", None)
+    model_kw = asdict(_model_config(args))
+    del model_kw["attention_variant"], model_kw["decoder_kind"]
+    train_kw = asdict(_train_config(args))
+    del train_kw["seed"]
     seeds = list(range(args.seeds))
     rows, means = run_ablation(model_kw, train_kw, manifest, seeds)
     csv = ablation_csv(rows, means)

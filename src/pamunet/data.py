@@ -292,8 +292,7 @@ def _apply_op(data: np.ndarray, op: str) -> np.ndarray:
     raise ValueError(f"unknown augmentation op {op!r}, expected one of {AUGMENT_OPS}")
 
 
-def augment(sample: Sample, op: str, apply_to_mask: bool = True) -> Sample:
-    """Transform image (and mask) identically; exact, interpolation-free ops."""
-    image = Tensor(_apply_op(sample.image.data, op))
-    mask = Tensor(_apply_op(sample.mask.data, op)) if apply_to_mask else sample.mask
-    return Sample(id=sample.id, image=image, mask=mask)
+def augment(sample: Sample, op: str) -> Sample:
+    """Transform image and mask identically; exact, interpolation-free ops."""
+    return Sample(id=sample.id, image=Tensor(_apply_op(sample.image.data, op)),
+                  mask=Tensor(_apply_op(sample.mask.data, op)))

@@ -22,6 +22,7 @@ gate variant.
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -34,6 +35,27 @@ from pamunet.tensor import ShapeError, Tensor
 
 ATTENTION_VARIANTS = ("none", "self", "cross", "additive", "pla")
 DECODER_KINDS = ("vanilla", "mobile")
+
+
+def _fits(value, hint) -> bool:
+    if typing.get_origin(hint) in (list, tuple):
+        elem = typing.get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_fits(v, elem) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def config_from_dict(cls, values):
+    """Build the config dataclass ``cls`` from a JSON object (a --config file,
+    a checkpoint header).  An unknown key or a value of the wrong type is a
+    ValueError naming the key, not a TypeError from inside validation."""
+    hints = typing.get_type_hints(cls)
+    for key, value in values.items():
+        if key not in hints or not _fits(value, hints[key]):
+            raise ValueError(f"{cls.__name__} key {key!r} is unknown or has a value "
+                             f"of the wrong type: {value!r}")
+    return cls(**values)
 
 
 @dataclass
@@ -90,7 +112,7 @@ class PAMUNetConfig:
     def from_dict(cls, d: dict) -> "PAMUNetConfig":
         # checkpoints written while lambda_reg was a model field still carry it;
         # training reads it from TrainConfig only
-        return cls(**{k: v for k, v in d.items() if k != "lambda_reg"})
+        return config_from_dict(cls, {k: v for k, v in d.items() if k != "lambda_reg"})
 
 
 @dataclass
@@ -123,17 +145,17 @@ class PAMUNet(Module):
         prev = c0
         for i in range(levels):
             stage = Module()
-            stage.register_child("block0", IRBlock(prev, ch[i], stride=1, expansion=t))
-            stage.register_child("block1", IRBlock(ch[i], ch[i], stride=2, expansion=t))
-            self.register_child(f"enc{i}", stage)
+            stage.block0 = IRBlock(prev, ch[i], stride=1, expansion=t)
+            stage.block1 = IRBlock(ch[i], ch[i], stride=2, expansion=t)
+            setattr(self, f"enc{i}", stage)
             self._enc_stages.append(stage)
             prev = ch[i]
 
         reduced = ch[-2] if levels >= 2 else ch[0]
         bott = Module()
-        bott.register_child("ir", IRBlock(ch[-1], ch[-1], stride=1, expansion=t))
-        bott.register_child("reduce", PointwiseConv(ch[-1], reduced))
-        self.register_child("bottleneck", bott)
+        bott.ir = IRBlock(ch[-1], ch[-1], stride=1, expansion=t)
+        bott.reduce = PointwiseConv(ch[-1], reduced)
+        self.bottleneck = bott
 
         # decoder stage j consumes skip j: enc[levels-2-j] output, stem for the last
         skip_ch = [ch[levels - 2 - j] for j in range(levels - 1)] + [c0]
@@ -143,13 +165,11 @@ class PAMUNet(Module):
         for j in range(levels):
             out = skip_ch[j]
             stage = Module()
-            up = (UpBlock(d_in, out, expansion=t, fuse_in=2 * out) if mobile
-                  else VanillaUpBlock(d_in, out, fuse_in=2 * out))
-            stage.register_child("up", up)
+            stage.up = (UpBlock(d_in, out, expansion=t, fuse_in=2 * out) if mobile
+                        else VanillaUpBlock(d_in, out, fuse_in=2 * out))
             if config.attention_variant != "none" and j < levels - 1:
-                stage.register_child(
-                    "gate", make_gate(config.attention_variant, d_in, out, expansion=t))
-            self.register_child(f"dec{j}", stage)
+                stage.gate = make_gate(config.attention_variant, d_in, out, expansion=t)
+            setattr(self, f"dec{j}", stage)
             self._dec_stages.append(stage)
             d_in = out
 

@@ -578,19 +578,30 @@ def _pad2d(x: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _windows(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """Sliding kxk windows of a padded (N,C,H,W) array -> (N,C,Ho,Wo,k,k)."""
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    return win[:, :, ::stride, ::stride]
+def _tap(i: int, j: int, ho: int, wo: int, stride: int) -> tuple:
+    """Index of the strided (ho, wo) grid of kernel tap (i, j) in a padded (N,C,H,W) array."""
+    return (slice(None), slice(None),
+            slice(i, i + (ho - 1) * stride + 1, stride),
+            slice(j, j + (wo - 1) * stride + 1, stride))
 
 
-def _scatter_windows(gxp: np.ndarray, gwin: np.ndarray, k: int, stride: int) -> None:
-    """Adjoint of _windows: scatter-add (N,C,Ho,Wo,k,k) grads into the padded grid."""
-    ho, wo = gwin.shape[2], gwin.shape[3]
+def _gather(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """Contiguous (N,Ho,Wo,C,k,k) copy of the kxk taps of a padded (N,C,H,W) array."""
+    n, c = xp.shape[:2]
+    win = np.empty((n, ho, wo, c, k, k), dtype=xp.dtype)
     for i in range(k):
         for j in range(k):
-            gxp[:, :, i:i + (ho - 1) * stride + 1:stride,
-                j:j + (wo - 1) * stride + 1:stride] += gwin[:, :, :, :, i, j]
+            win[:, :, :, :, i, j] = xp[_tap(i, j, ho, wo, stride)].transpose(0, 2, 3, 1)
+    return win
+
+
+def _scatter(grid: np.ndarray, win: np.ndarray, stride: int) -> np.ndarray:
+    """Adjoint of _gather: add (N,Ho,Wo,C,k,k) taps into a padded (N,C,H,W) grid."""
+    _, ho, wo, _, k, _ = win.shape
+    for i in range(k):
+        for j in range(k):
+            grid[_tap(i, j, ho, wo, stride)] += win[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+    return grid
 
 
 def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
@@ -612,7 +623,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     track = _track(x, kernel)
 
     xp = _pad2d(x.data, padding)
-    cols = _windows(xp, k, stride).transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, c * k * k)
+    cols = _gather(xp, k, stride, ho, wo).reshape(n, ho * wo, c * k * k)
     wm = kernel.data.reshape(c_out, c * k * k)
     out_data = (cols @ wm.T).transpose(0, 2, 1).reshape(n, c_out, ho, wo)
 
@@ -620,9 +631,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
         gf = g.reshape(n, c_out, ho * wo).transpose(0, 2, 1)
         accumulate_grad(kernel, np.tensordot(gf, cols, axes=([0, 1], [0, 1])).reshape(kernel.shape))
         if x.requires_grad:
-            gwin = (gf @ wm).reshape(n, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
-            gxp = np.zeros_like(xp)
-            _scatter_windows(gxp, gwin, k, stride)
+            gxp = _scatter(np.zeros_like(xp), (gf @ wm).reshape(n, ho, wo, c, k, k), stride)
             accumulate_grad(x, gxp[:, :, padding:padding + h, padding:padding + w])
 
     return _out(out_data, track, bw)
@@ -642,41 +651,29 @@ def depthwise_conv2d(x, kernel_d, stride: int = 1, padding: int = 0) -> Tensor:
     ho, wo = _conv_out_size(h, k, stride, padding), _conv_out_size(w, k, stride, padding)
     track = _track(x, kernel_d)
 
+    # a per-tap multiply-accumulate: a gathered (k*k)-fold copy of the
+    # expanded activations would dominate memory at full resolution
     xp = _pad2d(x.data, padding)
     kd = kernel_d.data[:, 0]
-    # einsum wins on tiny tensors; strided-slice accumulation avoids the
-    # cache-hostile window gather on large ones
-    small = n * c * ho * wo * k * k <= 65536
-
-    def _slc(i, j):
-        return (slice(None), slice(None),
-                slice(i, i + (ho - 1) * stride + 1, stride),
-                slice(j, j + (wo - 1) * stride + 1, stride))
-
-    if small:
-        out_data = np.einsum("nchwij,cij->nchw", _windows(xp, k, stride), kd, optimize=False)
-    else:
-        out_data = np.zeros((n, c, ho, wo), dtype=xp.dtype)
-        tmp = np.empty_like(out_data)
-        for i in range(k):
-            for j in range(k):
-                np.multiply(xp[_slc(i, j)], kd[None, :, i, j, None, None], out=tmp)
-                out_data += tmp
+    out_data = np.zeros((n, c, ho, wo), dtype=xp.dtype)
+    tmp = np.empty_like(out_data)
+    for i in range(k):
+        for j in range(k):
+            np.multiply(xp[_tap(i, j, ho, wo, stride)], kd[None, :, i, j, None, None], out=tmp)
+            out_data += tmp
 
     def bw(g):
-        if small:
-            gk = np.einsum("nchw,nchwij->cij", g, _windows(xp, k, stride), optimize=False)
-        else:
-            gk = np.empty((c, k, k), dtype=g.dtype)
-            for i in range(k):
-                for j in range(k):
-                    gk[:, i, j] = np.einsum("nchw,nchw->c", g, xp[_slc(i, j)], optimize=False)
+        gk = np.empty((c, k, k), dtype=g.dtype)
+        for i in range(k):
+            for j in range(k):
+                gk[:, i, j] = np.einsum("nchw,nchw->c", g, xp[_tap(i, j, ho, wo, stride)],
+                                        optimize=False)
         accumulate_grad(kernel_d, gk[:, None])
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for i in range(k):
                 for j in range(k):
-                    gxp[_slc(i, j)] += g * kd[None, :, i, j, None, None]
+                    gxp[_tap(i, j, ho, wo, stride)] += g * kd[None, :, i, j, None, None]
             accumulate_grad(x, gxp[:, :, padding:padding + h, padding:padding + w])
 
     return _out(out_data, track, bw)
@@ -723,23 +720,14 @@ def conv_transpose2d(x, kernel, stride: int) -> Tensor:
     track = _track(x, kernel)
 
     # (N,H,W,C_out,k,k) contributions scattered onto the strided output grid
-    y = np.tensordot(x.data, kernel.data, axes=([1], [0])).transpose(0, 3, 1, 2, 4, 5)
-    out_data = np.zeros((n, c_out, ho, wo), dtype=x.data.dtype)
-    for i in range(k):
-        for j in range(k):
-            out_data[:, :, i:i + (h - 1) * stride + 1:stride,
-                     j:j + (w - 1) * stride + 1:stride] += y[:, :, :, :, i, j]
+    out_data = _scatter(np.zeros((n, c_out, ho, wo), dtype=x.data.dtype),
+                        np.tensordot(x.data, kernel.data, axes=([1], [0])), stride)
 
     def bw(g):
-        gwin = np.empty((n, c_out, h, w, k, k), dtype=g.dtype)
-        for i in range(k):
-            for j in range(k):
-                gwin[:, :, :, :, i, j] = g[:, :, i:i + (h - 1) * stride + 1:stride,
-                                           j:j + (w - 1) * stride + 1:stride]
-        gk = np.tensordot(x.data, gwin, axes=([0, 2, 3], [0, 2, 3]))
-        accumulate_grad(kernel, gk)
+        gwin = _gather(g, k, stride, h, w)
+        accumulate_grad(kernel, np.tensordot(x.data, gwin, axes=([0, 2, 3], [0, 1, 2])))
         if x.requires_grad:
-            gx = np.tensordot(gwin, kernel.data, axes=([1, 4, 5], [1, 2, 3]))
+            gx = np.tensordot(gwin, kernel.data, axes=([3, 4, 5], [1, 2, 3]))
             accumulate_grad(x, gx.transpose(0, 3, 1, 2))
 
     return _out(out_data, track, bw)

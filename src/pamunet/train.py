@@ -129,6 +129,8 @@ def _read_blobs(data: bytes, pos: int, shapes: dict[str, tuple[int, ...]],
         if len(raw) != n:
             raise ValueError(f"checkpoint truncated while reading {section} {name}")
         out[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
+        if not np.isfinite(out[name]).all():
+            raise ValueError(f"checkpoint {section} {name} holds non-finite values")
         pos += n
     return out, pos
 
@@ -153,7 +155,7 @@ def load_checkpoint(path) -> tuple[PAMUNet, dict]:
                          f"(expected {CHECKPOINT_VERSION})")
     try:
         config = PAMUNetConfig.from_dict(header["config"])
-    except (AttributeError, TypeError) as e:  # not a dict, unknown key, wrong value type
+    except (AttributeError, ValueError) as e:  # not a dict, unknown key, bad value
         raise ValueError(f"{path}: bad model config in checkpoint: {e}") from e
     model = PAMUNet(config)
     named = dict(model.named_parameters())

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: subcommands, exit codes, file outputs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -122,6 +123,22 @@ def test_flops_rejects_bad_config(flag, value, match, capsys):
     assert run(["flops", flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and match in err
+
+
+@pytest.mark.parametrize("command,config,key", [
+    ("flops", {"levels": "3"}, "levels"),
+    ("flops", {"input_size": "64"}, "input_size"),
+    ("train", {"lr": "0.1"}, "lr"),
+])
+def test_wrong_typed_config_value_is_data_error(tmp_path, dataset, capsys, command, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = [command, "--config", str(cfg)]
+    if command == "train":
+        argv += ["--data", str(dataset), "--out", str(tmp_path / "c.pamckpt")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and repr(key) in err
 
 
 def test_lambda_reg_is_a_train_flag():

@@ -78,19 +78,29 @@ def test_depthwise_shape():
     assert T.depthwise_conv2d(x, kd, stride=2, padding=1).shape == (1, 8, 8, 8)
 
 
-def test_depthwise_equals_block_diagonal_grouped_conv():
+@pytest.mark.parametrize("shape,stride", [((1, 2, 4, 4), 1), ((2, 8, 64, 64), 1),
+                                          ((2, 8, 64, 64), 2)],
+                         ids=["1x2x4x4-s1", "2x8x64x64-s1", "2x8x64x64-s2"])
+def test_depthwise_equals_block_diagonal_grouped_conv(shape, stride):
     # Grouped-conv oracle: embed each per-channel kernel on the diagonal of a
-    # full kernel with zeros elsewhere, then run the vanilla conv path.
+    # full kernel with zeros elsewhere, then run the vanilla conv path. The
+    # 64x64 shapes are training-sized.
     rng = np.random.default_rng(11)
+    c = shape[1]
     with T.using_dtype(np.float64):
-        x = Tensor(rng.standard_normal((1, 2, 4, 4)))
-        kd = Tensor(rng.standard_normal((2, 1, 3, 3)))
-        out = T.depthwise_conv2d(x, kd, stride=1, padding=1)
-    full = np.zeros((2, 2, 3, 3))
-    for c in range(2):
-        full[c, c] = kd.data[c, 0]
-    ref = naive_conv2d(x.data, full, 1, 1)
-    np.testing.assert_allclose(out.data, ref, atol=1e-12)
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        kd = Tensor(rng.standard_normal((c, 1, 3, 3)), requires_grad=True)
+        out = T.depthwise_conv2d(x, kd, stride=stride, padding=1)
+        g = Tensor(rng.standard_normal(out.shape))
+        T.backward(T.tsum(T.mul(out, g)))
+        full = Tensor(np.zeros((c, c, 3, 3)), requires_grad=True)
+        for ch in range(c):
+            full.data[ch, ch] = kd.data[ch, 0]
+        xf = Tensor(x.data, requires_grad=True)
+        T.backward(T.tsum(T.mul(T.conv2d(xf, full, stride=stride, padding=1), g)))
+    np.testing.assert_allclose(out.data, naive_conv2d(x.data, full.data, stride, 1), atol=1e-12)
+    np.testing.assert_allclose(x.grad, xf.grad, atol=1e-12)
+    np.testing.assert_allclose(kd.grad[:, 0], full.grad[np.arange(c), np.arange(c)], atol=1e-10)
 
 
 def test_depthwise_channel_mismatch():

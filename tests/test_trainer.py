@@ -156,6 +156,9 @@ def test_checkpoint_with_legacy_lambda_reg_key_loads(tmp_path):
     (lambda h: h.update(has_velocities=False), None, "unexpected bytes"),
     (None, lambda b: b + b"\0" * 4, "unexpected bytes"),
     (lambda h: h["params"][0][1].append(1), None, "do not match"),
+    (lambda h: h["config"].update(levels="2"), None, "'levels'"),
+    (None, lambda b: struct.pack("<f", np.nan) + b[4:], "parameter stem.kernel holds non-finite"),
+    (None, lambda b: b[:-4] + struct.pack("<f", np.inf), "velocity head.bias holds non-finite"),
 ])
 def test_malformed_checkpoint_is_data_error(tmp_path, capsys, edit_header, edit_body, match):
     _, path = _saved_with_velocities(tmp_path)
