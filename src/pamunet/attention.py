@@ -34,7 +34,6 @@ own FLOPs rows through ``mac_sites``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,27 +43,6 @@ from pamunet.tensor import ShapeError, Tensor, accumulate_grad, record_op
 
 MATERIALIZE_BYTES = 16 * 2 ** 20  # max per-sample weight-map bytes kept on the dot tape
 MATERIALIZE_LIMIT = 4096  # max grid positions of the additive gate's full score map
-
-
-# -- reference sequence attention -------------------------------------------
-
-@dataclass
-class LuongState:
-    """One decoder step attending over encoder hidden states."""
-    decoder_state: np.ndarray   # (d,)
-    encoder_states: np.ndarray  # (T, d)
-
-
-def luong_context(state: LuongState):
-    """Context vector and weights for multiplicative (dot-score) attention."""
-    h = np.asarray(state.encoder_states, dtype=np.float64)
-    s = np.asarray(state.decoder_state, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] < 1:
-        raise ValueError("encoder states must be a non-empty (T, d) matrix")
-    scores = h @ s
-    z = np.exp(scores - scores.max())
-    weights = z / z.sum()
-    return weights @ h, weights
 
 
 # -- tensor-level attention cores --------------------------------------------
@@ -324,12 +302,11 @@ class DotAttentionGate(_GateBase):
 class AdditiveAttentionGate(_GateBase):
     """Bahdanau-style scorer v . tanh(W1 q + W2 k) over the same grids."""
 
-    def __init__(self, c: int, hidden: int | None = None):
+    def __init__(self, c: int):
         super().__init__()
-        self.hidden = hidden if hidden is not None else c
-        self.w_q = PointwiseConv(c, self.hidden)
-        self.w_k = PointwiseConv(c, self.hidden)
-        self.score_v = Tensor(np.zeros(self.hidden), requires_grad=True)
+        self.w_q = PointwiseConv(c, c)
+        self.w_k = PointwiseConv(c, c)
+        self.score_v = Tensor(np.zeros(c), requires_grad=True)
         self.v_proj = PointwiseConv(c, c)
         self.gain = _scalar_param()
 
@@ -351,10 +328,11 @@ class AdditiveAttentionGate(_GateBase):
         return self._merge(x, attended), weights
 
     def mac_sites(self, prefix: str, low_hw, up_hw):
+        c = self.v_proj.c_out
         yield f"{prefix}.w_q", "pointwise", self.w_q.macs(up_hw)
         yield f"{prefix}.w_k", "pointwise", self.w_k.macs(up_hw)
         yield f"{prefix}.v_proj", "pointwise", self.v_proj.macs(up_hw)
-        yield _scores_site(prefix, up_hw, self.hidden, self.v_proj.c_out)
+        yield _scores_site(prefix, up_hw, c, c)
 
 
 def make_gate(variant: str, c_low: int, c: int, expansion: int = 6) -> _GateBase:

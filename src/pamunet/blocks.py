@@ -1,9 +1,10 @@
 """Parameterized layers: mobile conv primitives and the blocks built from them.
 
-Every layer knows three things: how to run forward on a Tensor, what spatial
-size it produces for a given input size (without running), and how many
-multiply-accumulates that forward costs.  The static shape/MAC methods back
-the FLOPs counter and the shape-total tests.
+Every conv layer and IR block knows three things: how to run forward on a
+Tensor, what spatial size it produces for a given input size (without
+running), and how many multiply-accumulates that forward costs.  The static
+shape/MAC methods back the FLOPs counter and the shape-total tests.  The
+decoder up blocks are pairs of such layers with one FLOPs row per fuse.
 
 No normalization layers are used; convs carry biases instead.
 """
@@ -50,10 +51,6 @@ class Module:
 
     def parameter_count(self) -> int:
         return sum(p.size for p in self.parameters())
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad = None
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
@@ -211,33 +208,19 @@ class IRBlock(Module):
 
 
 class UpBlock(Module):
-    """Stride-2 transposed conv (k=2, exact doubling) followed by an IR block.
-
-    ``fuse_in`` widens the IR block's input for the decoder, where a skip
-    connection is concatenated between the two halves; the plain forward path
-    is only valid without that widening.
+    """Mobile decoder stage: stride-2 transposed conv (k=2, exact doubling),
+    then an IR block whose input is widened to ``fuse_in`` channels by the
+    skip connection concatenated between the two halves.
 
     Decoder up blocks share one interface: ``deconv`` upsamples, ``fuse(m)``
     runs the second half on the concatenated map ``m``, and
     ``fuse_site(prefix, hw)`` is the FLOPs row of that fuse at grid ``hw``.
     """
 
-    def __init__(self, c_in: int, c_out: int, expansion: int = 6, fuse_in: int | None = None):
+    def __init__(self, c_in: int, c_out: int, fuse_in: int, expansion: int = 6):
         super().__init__()
-        self.c_in, self.c_out = c_in, c_out
         self.deconv = ConvTranspose2d(c_in, c_out, k=2, stride=2)
-        self.ir = IRBlock(fuse_in if fuse_in is not None else c_out, c_out,
-                          stride=1, expansion=expansion)
-
-    def forward(self, x):
-        return self.ir(self.deconv(x))
-
-    def out_hw(self, hw):
-        return self.ir.out_hw(self.deconv.out_hw(hw))
-
-    def macs(self, hw) -> int:
-        up_hw = self.deconv.out_hw(hw)
-        return self.deconv.macs(hw) + self.ir.macs(up_hw)
+        self.ir = IRBlock(fuse_in, c_out, stride=1, expansion=expansion)
 
     def fuse(self, m):
         return self.ir(m)

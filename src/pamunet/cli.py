@@ -4,8 +4,8 @@ Subcommands: synth, train, eval, predict, flops, cka, ablate.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure (NaN).
 
 Flags are kebab-case and mirror the TrainConfig / model config defaults; a
-JSON file passed via --config supplies overrides, and explicit flags win over
-the file.
+JSON file passed via --config supplies overrides keyed by the field names of
+either config, and explicit flags win over the file.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -38,10 +38,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-MODEL_KEYS = ("levels", "base_channels", "expansion_factor", "attention_variant",
-              "decoder_kind", "input_size", "in_channels", "threshold")
-TRAIN_KEYS = ("lr", "momentum", "weight_decay", "batch_size", "epochs", "seed",
-              "lambda_reg", "augment")
+CONFIG_KEYS = {f.name for cls in (PAMUNetConfig, TrainConfig) for f in fields(cls)}
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -81,11 +78,17 @@ def _load_json_config(path) -> dict:
     return data
 
 
-def _merged(args, keys) -> dict:
-    """defaults < JSON file < explicit flags."""
+def _merged(args, cls) -> dict:
+    """defaults < JSON file < explicit flags, for the fields of ``cls``.  One
+    --config file serves both configs, so a file key that is a field of
+    neither is a data error."""
+    keys = [f.name for f in fields(cls)]
     merged = {}
     if getattr(args, "config", None):
         file_cfg = _load_json_config(args.config)
+        unknown = sorted(file_cfg.keys() - CONFIG_KEYS)
+        if unknown:
+            raise FormatError(f"config file {args.config}: unknown key {unknown[0]!r}")
         merged.update({k: v for k, v in file_cfg.items() if k in keys})
     for key in keys:
         val = getattr(args, key, None)
@@ -95,14 +98,14 @@ def _merged(args, keys) -> dict:
 
 
 def _model_config(args) -> PAMUNetConfig:
-    kw = _merged(args, MODEL_KEYS)
+    kw = _merged(args, PAMUNetConfig)
     if isinstance(kw.get("input_size"), int):
         kw["input_size"] = (kw["input_size"], kw["input_size"])
     return config_from_dict(PAMUNetConfig, kw)
 
 
 def _train_config(args) -> TrainConfig:
-    return config_from_dict(TrainConfig, _merged(args, TRAIN_KEYS))
+    return config_from_dict(TrainConfig, _merged(args, TrainConfig))
 
 
 def _write_text(path, text) -> None:
@@ -288,6 +291,8 @@ def ablation_csv(rows, means) -> str:
 
 
 def cmd_ablate(args) -> int:
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
     manifest = Manifest.load(args.data)
     model_kw = asdict(_model_config(args))
     del model_kw["attention_variant"], model_kw["decoder_kind"]

@@ -129,7 +129,6 @@ class ManifestEntry:
 class Manifest:
     entries: list[ManifestEntry]
     root: str = "."
-    seed: int | None = None
 
     def __post_init__(self):
         ids = [e.id for e in self.entries]
@@ -253,10 +252,12 @@ def assign_splits(count: int) -> list[str]:
 def synth_generate(out_dir, seed: int, count: int, size: int,
                    max_blobs: int = 5, channels: int = 1) -> Manifest:
     """Write a synthetic dataset plus manifest under ``out_dir``."""
-    if size % 16 != 0:
-        raise ValueError(f"size must be divisible by 16, got {size}")
+    if size <= 0 or size % 16 != 0:
+        raise ValueError(f"size must be positive and divisible by 16, got {size}")
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise ValueError(f"count must be >= 1, got {count}")
+    if max_blobs < 1:
+        raise ValueError(f"max_blobs must be >= 1, got {max_blobs}")
     images_dir = os.path.join(out_dir, "images")
     masks_dir = os.path.join(out_dir, "masks")
     os.makedirs(images_dir, exist_ok=True)
@@ -272,7 +273,7 @@ def synth_generate(out_dir, seed: int, count: int, size: int,
         write_image(os.path.join(out_dir, image_rel), sample.image)
         write_mask(os.path.join(out_dir, mask_rel), sample.mask)
         entries.append(ManifestEntry(sample.id, image_rel, mask_rel, split))
-    manifest = Manifest(entries=entries, root=os.path.abspath(out_dir), seed=seed)
+    manifest = Manifest(entries=entries, root=os.path.abspath(out_dir))
     manifest.save(os.path.join(out_dir, "manifest.tsv"))
     return manifest
 

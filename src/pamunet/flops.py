@@ -18,7 +18,6 @@ CONVENTION_NOTE = "1 MAC = 2 FLOPs; elementwise ops excluded"
 @dataclass
 class FlopsReport:
     rows: list[tuple[str, str, int]]  # (layer name, kind, MACs)
-    note: str = CONVENTION_NOTE
 
     @property
     def total_macs(self) -> int:
@@ -42,7 +41,7 @@ class FlopsReport:
         for name, kind, macs in self.rows:
             lines.append(f"{name:<{width}}  {kind:<14}  {macs:>14,}")
         lines.append(f"{'total':<{width}}  {'':<14}  {self.total_macs:>14,}")
-        lines.append(f"({self.note}; total FLOPs = {self.total_flops:,})")
+        lines.append(f"({CONVENTION_NOTE}; total FLOPs = {self.total_flops:,})")
         return "\n".join(lines)
 
 

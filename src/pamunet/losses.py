@@ -22,7 +22,6 @@ class LossBreakdown:
     seg: Tensor
     reg: Tensor
     total: Tensor
-    lambda_reg: float
 
 
 def bce_loss(pred: Tensor, target: Tensor) -> Tensor:
@@ -58,4 +57,4 @@ def total_loss(pred: Tensor, target: Tensor, maps: list[Tensor],
     seg = bce_loss(pred, target)
     reg = attention_reg(maps)
     total = T.add(seg, T.mul(reg, lambda_reg))
-    return LossBreakdown(seg=seg, reg=reg, total=total, lambda_reg=lambda_reg)
+    return LossBreakdown(seg=seg, reg=reg, total=total)

@@ -131,57 +131,11 @@ class Tensor:
             raise ShapeError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return np.array(self.data, copy=True)
-
     def detach(self) -> "Tensor":
         return Tensor._wrap(self.data, False)
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
-
-    # -- operator sugar ----------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Tensor):
-            raise TypeError("tensor/tensor division is not supported; multiply by a reciprocal")
-        return mul(self, 1.0 / float(scalar))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def transpose(self, *axes):
-        return transpose(self, axes[0] if len(axes) == 1 and isinstance(axes[0], (tuple, list)) else axes)
-
-    def sum(self):
-        return tsum(self)
-
-    def mean(self):
-        return mean(self)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""

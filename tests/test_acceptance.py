@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  The trend criteria (7, 8) train real models and dominate the runtime.
+lines.  The trend criteria (7, 8) train real models and dominate the runtime;
+they and the gradient suite (1) are marked ``slow``.
 """
 
 import functools
@@ -10,6 +11,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from gradcheck import check_gradients, fd_gradient_kink_aware
 from pamunet import attention as A
@@ -94,6 +96,7 @@ def _op_cases():
               A.additive_scores(qp, kp2, vv, chunk=2)))
 
 
+@pytest.mark.slow
 @criterion(1, "gradient suite: per-op and end-to-end finite differences")
 def test_criterion_1_gradient_suite():
     t0 = time.time()
@@ -306,6 +309,7 @@ def test_criterion_6_flops():
 
 # -- 7: overfit run --------------------------------------------------------------------
 
+@pytest.mark.slow
 @criterion(7, "overfit: 8 synthetic 32x32 samples reach train Dice >= 0.95 in <= 300 steps")
 def test_criterion_7_overfit(tmp_path):
     t0 = time.time()
@@ -338,6 +342,7 @@ def test_criterion_7_overfit(tmp_path):
 
 # -- 8: ablation trend -------------------------------------------------------------------
 
+@pytest.mark.slow
 @criterion(8, "ablation trend: PLA >= MED on Dice; PLA near-max; PLA costs more FLOPs")
 def test_criterion_8_ablation_trend(tmp_path):
     manifest = D.synth_generate(tmp_path / "ablate", seed=5, count=64, size=64)

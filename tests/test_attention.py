@@ -1,4 +1,4 @@
-"""Attention gate tests: reference Luong math, gate variants, streaming path."""
+"""Attention gate tests: reference dot attention, gate variants, streaming path."""
 
 import math
 
@@ -10,33 +10,6 @@ from pamunet import attention as A
 from pamunet import tensor as T
 from pamunet.blocks import init_parameters
 from pamunet.tensor import ShapeError, Tensor
-
-
-def test_luong_single_state():
-    st = A.LuongState(np.array([1.0, 2.0]), np.array([[3.0, 4.0]]))
-    ctx, w = A.luong_context(st)
-    np.testing.assert_allclose(w, [1.0])
-    np.testing.assert_allclose(ctx, [3.0, 4.0])
-
-
-def test_luong_identical_states_uniform():
-    h = np.tile(np.array([0.5, -1.0]), (4, 1))
-    ctx, w = A.luong_context(A.LuongState(np.array([2.0, 1.0]), h))
-    np.testing.assert_allclose(w, 0.25)
-    np.testing.assert_allclose(ctx, [0.5, -1.0])
-
-
-def test_luong_closed_form_weights():
-    st = A.LuongState(np.array([1.0, 0.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))
-    ctx, w = A.luong_context(st)
-    e = math.e
-    np.testing.assert_allclose(w, [e / (e + 1), 1 / (e + 1)], atol=1e-12)
-    np.testing.assert_allclose(ctx, w[0] * np.array([1.0, 0.0]) + w[1] * np.array([0.0, 1.0]))
-
-
-def test_luong_empty_states_error():
-    with pytest.raises(ValueError, match="empty"):
-        A.luong_context(A.LuongState(np.zeros(2), np.zeros((0, 2))))
 
 
 def test_scaled_dot_hand_case():
@@ -294,7 +267,7 @@ def test_fd_additive_gate_gradients():
         d_low = Tensor(rng.standard_normal((1, 2, 2, 2)))
         x = Tensor(rng.standard_normal((1, 3, 4, 4)), requires_grad=True)
         skip = Tensor(rng.standard_normal((1, 3, 4, 4)), requires_grad=True)
-        gate = A.AdditiveAttentionGate(3, hidden=2)
+        gate = A.AdditiveAttentionGate(3)
         init_parameters(gate, 20)
         gate.gain.data[...] = 0.5
         params = [p for _, p in gate.named_parameters()]

@@ -7,7 +7,7 @@ import pytest
 
 from gradcheck import check_gradients
 from pamunet import tensor as T
-from pamunet.blocks import (Conv2d, DSConvLayer, IRBlock, UpBlock,
+from pamunet.blocks import (Conv2d, ConvTranspose2d, DSConvLayer, IRBlock, UpBlock,
                             init_parameters, param_rng)
 from pamunet.tensor import ShapeError, Tensor
 
@@ -82,20 +82,26 @@ def test_irblock_residual_gradient_with_zeroed_convs():
 
 
 def test_upblock_shape_and_zero_kernel():
-    block = UpBlock(8, 4)
-    out = block(Tensor(np.random.default_rng(4).standard_normal((1, 8, 8, 8))))
+    block = UpBlock(8, 4, fuse_in=8)
+    rng = np.random.default_rng(4)
+    up = block.deconv(Tensor(rng.standard_normal((1, 8, 8, 8))))
+    out = block.fuse(T.concat([up, Tensor(rng.standard_normal((1, 4, 16, 16)))], axis=1))
     assert out.shape == (1, 4, 16, 16)
     np.testing.assert_array_equal(out.data, np.zeros_like(out.data))  # zero params
-    assert block.out_hw((8, 8)) == (16, 16)
+    assert block.fuse_site("dec0.up", (16, 16)) == ("dec0.up.ir", "irblock",
+                                                    block.ir.macs((16, 16)))
 
 
 def test_upblock_matches_composition():
     with T.using_dtype(np.float64):
-        block = UpBlock(3, 2)
+        block = UpBlock(3, 2, fuse_in=4)
         init_parameters(block, 5)
-        x = Tensor(np.random.default_rng(5).standard_normal((1, 3, 4, 4)))
-        out = block(x)
-        ref = block.ir(T.add(T.conv_transpose2d(x, block.deconv.kernel, 2), block.deconv.bias))
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((1, 3, 4, 4)))
+        skip = Tensor(rng.standard_normal((1, 2, 8, 8)))
+        out = block.fuse(T.concat([block.deconv(x), skip], axis=1))
+        up = T.add(T.conv_transpose2d(x, block.deconv.kernel, 2), block.deconv.bias)
+        ref = block.ir(T.concat([up, skip], axis=1))
     np.testing.assert_array_equal(out.data, ref.data)
 
 
@@ -104,7 +110,7 @@ def test_static_shapes_match_forward():
         (Conv2d(3, 5, 3, stride=2, padding=1), 3, (9, 11)),
         (DSConvLayer(4, 6, stride=2), 4, (10, 10)),
         (IRBlock(4, 7, stride=2), 4, (12, 8)),
-        (UpBlock(4, 2), 4, (5, 7)),
+        (ConvTranspose2d(4, 2), 4, (5, 7)),
     ]:
         init_parameters(layer, 9)
         out = layer(Tensor(np.zeros((1, c_in) + hw)))

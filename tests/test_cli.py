@@ -12,6 +12,7 @@ import pytest
 from pamunet import attention as A
 from pamunet import cli
 from pamunet.data import Manifest, read_image, synth_generate
+from pamunet.flops import count_flops
 from pamunet.model import PAMUNet, PAMUNetConfig, build
 from pamunet.train import (TrainConfig, evaluate, load_checkpoint, run_training,
                            save_checkpoint)
@@ -129,6 +130,7 @@ def test_flops_rejects_bad_config(flag, value, match, capsys):
     ("flops", {"levels": "3"}, "levels"),
     ("flops", {"input_size": "64"}, "input_size"),
     ("train", {"lr": "0.1"}, "lr"),
+    ("flops", {"channel_schedule": ["3", 5]}, "channel_schedule"),
 ])
 def test_wrong_typed_config_value_is_data_error(tmp_path, dataset, capsys, command, config, key):
     cfg = tmp_path / "cfg.json"
@@ -305,3 +307,65 @@ def test_console_script_module_invocation(tmp_path):
         capture_output=True, text=True, cwd=repo, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "wrote 2 samples" in proc.stdout
+
+
+def test_unknown_config_key_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"levls": 3}))
+    assert run(["flops", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "'levls'" in err
+    # a key of the other config is not unknown: flops reads the file's model keys only
+    cfg.write_text(json.dumps({"levels": 2, "input_size": 16, "epochs": 3}))
+    assert run(["flops", "--config", str(cfg)]) == 0
+
+
+def test_config_channel_schedule_is_honoured(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"levels": 2, "input_size": 16, "channel_schedule": [3, 5]}))
+    out = tmp_path / "flops.csv"
+    assert run(["flops", "--config", str(cfg), "--out", str(out)]) == 0
+    model = build(PAMUNetConfig(levels=2, input_size=(16, 16), channel_schedule=[3, 5]), seed=0)
+    total = int(out.read_text().strip().split("\n")[-1].split(",")[2])
+    assert total == count_flops(model).total_macs
+    assert total != count_flops(build(PAMUNetConfig(levels=2, input_size=(16, 16)), seed=0)).total_macs
+
+
+def _bad_invocations(tmp_path, dataset):
+    """(argv, exit code, text the message must hold) per subcommand: missing
+    arguments, a missing file, and out-of-range values."""
+    missing = str(tmp_path / "missing")
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    data = ["--data", str(dataset)]
+    return [
+        ([], 1, "command"),
+        (["synth"], 1, "--out"),
+        (["train"], 1, "--data"),
+        (["eval", "--ckpt", missing], 1, "--data"),
+        (["predict", "--ckpt", missing, "--data", str(dataset)], 1, "--out"),
+        (["flops", "--levels"], 1, "--levels"),
+        (["cka", "--ckpt-a", missing], 1, "--ckpt-b"),
+        (["ablate"], 1, "--data"),
+        (["synth", "--out", str(a_file / "ds")], 2, "a_file"),
+        (["train", "--data", missing, "--out", str(tmp_path / "m.pamckpt")], 2, missing),
+        (["eval", "--ckpt", missing, *data], 2, missing),
+        (["predict", "--ckpt", missing, *data, "--out", str(tmp_path / "p")], 2, missing),
+        (["flops", "--config", missing], 2, missing),
+        (["cka", "--ckpt-a", missing, "--ckpt-b", missing, "--out", missing], 2, missing),
+        (["ablate", "--data", missing], 2, missing),
+        (["ablate", *data, "--seeds", "0"], 1, "--seeds"),
+        (["ablate", *data, "--seeds", "-2"], 1, "--seeds"),
+        (["synth", "--out", str(tmp_path / "s"), "--size", "0"], 2, "size"),
+        (["synth", "--out", str(tmp_path / "s"), "--size", "-16"], 2, "size"),
+        (["synth", "--out", str(tmp_path / "s"), "--max-blobs", "0"], 2, "max_blobs"),
+        (["synth", "--out", str(tmp_path / "s"), "--count", "0"], 2, "count"),
+    ]
+
+
+def test_bad_invocations_exit_with_a_message(tmp_path, dataset, capsys):
+    for argv, code, text in _bad_invocations(tmp_path, dataset):
+        assert run(argv) == code, argv
+        err = capsys.readouterr().err
+        prefix = "usage error:" if code == 1 else "data error:"
+        assert err.startswith(prefix) and text in err and "Traceback" not in err, (argv, err)
