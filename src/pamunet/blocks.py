@@ -6,7 +6,8 @@ running), and how many multiply-accumulates that forward costs.  The static
 shape/MAC methods back the FLOPs counter and the shape-total tests.  The
 decoder up blocks are pairs of such layers with one FLOPs row per fuse.
 
-No normalization layers are used; convs carry biases instead.
+No normalization layers are used; convs carry biases instead, and a conv layer
+built with ``relu6=True`` applies ReLU6 inside its conv op (one tape node).
 """
 
 from __future__ import annotations
@@ -68,15 +69,16 @@ def _conv_hw(hw, k, stride, padding):
 class Conv2d(Module):
     """Vanilla convolution with bias."""
 
-    def __init__(self, c_in: int, c_out: int, k: int, stride: int = 1, padding: int = 0):
+    def __init__(self, c_in: int, c_out: int, k: int, stride: int = 1, padding: int = 0,
+                 relu6: bool = False):
         super().__init__()
         self.c_in, self.c_out, self.k = c_in, c_out, k
-        self.stride, self.padding = stride, padding
+        self.stride, self.padding, self.relu6 = stride, padding, relu6
         self.kernel = _zeros(c_out, c_in, k, k)
         self.bias = _zeros(c_out, 1, 1)
 
     def forward(self, x):
-        return T.add(T.conv2d(x, self.kernel, self.stride, self.padding), self.bias)
+        return T.conv2d(x, self.kernel, self.stride, self.padding, bias=self.bias, relu6=self.relu6)
 
     def out_hw(self, hw):
         return _conv_hw(hw, self.k, self.stride, self.padding)
@@ -89,14 +91,14 @@ class Conv2d(Module):
 class PointwiseConv(Module):
     """1x1 conv: per-pixel linear map across channels."""
 
-    def __init__(self, c_in: int, c_out: int):
+    def __init__(self, c_in: int, c_out: int, relu6: bool = False):
         super().__init__()
-        self.c_in, self.c_out = c_in, c_out
+        self.c_in, self.c_out, self.relu6 = c_in, c_out, relu6
         self.kernel = _zeros(c_out, c_in, 1, 1)
         self.bias = _zeros(c_out, 1, 1)
 
     def forward(self, x):
-        return T.add(T.pointwise_conv2d(x, self.kernel), self.bias)
+        return T.pointwise_conv2d(x, self.kernel, bias=self.bias, relu6=self.relu6)
 
     def out_hw(self, hw):
         return hw
@@ -107,15 +109,17 @@ class PointwiseConv(Module):
 
 
 class DepthwiseConv(Module):
-    def __init__(self, channels: int, k: int = 3, stride: int = 1, padding: int = 1):
+    def __init__(self, channels: int, k: int = 3, stride: int = 1, padding: int = 1,
+                 relu6: bool = False):
         super().__init__()
         self.channels, self.k = channels, k
-        self.stride, self.padding = stride, padding
+        self.stride, self.padding, self.relu6 = stride, padding, relu6
         self.kernel = _zeros(channels, 1, k, k)
         self.bias = _zeros(channels, 1, 1)
 
     def forward(self, x):
-        return T.add(T.depthwise_conv2d(x, self.kernel, self.stride, self.padding), self.bias)
+        return T.depthwise_conv2d(x, self.kernel, self.stride, self.padding, bias=self.bias,
+                                  relu6=self.relu6)
 
     def out_hw(self, hw):
         return _conv_hw(hw, self.k, self.stride, self.padding)
@@ -133,7 +137,7 @@ class ConvTranspose2d(Module):
         self.bias = _zeros(c_out, 1, 1)
 
     def forward(self, x):
-        return T.add(T.conv_transpose2d(x, self.kernel, self.stride), self.bias)
+        return T.conv_transpose2d(x, self.kernel, self.stride, bias=self.bias)
 
     def out_hw(self, hw):
         h, w = hw
@@ -161,7 +165,7 @@ class DSConvLayer(Module):
         if x.shape[1] != self.c_in:
             raise ShapeError(f"DSConvLayer expects {self.c_in} channels, got {x.shape[1]}")
         h = T.depthwise_conv2d(x, self.kernel_d, self.stride, self.padding)
-        return T.add(T.pointwise_conv2d(h, self.kernel_p), self.bias)
+        return T.pointwise_conv2d(h, self.kernel_p, bias=self.bias)
 
     def out_hw(self, hw):
         return _conv_hw(hw, self.k, self.stride, self.padding)
@@ -186,17 +190,15 @@ class IRBlock(Module):
             raise ValueError(f"IRBlock stride must be 1 or 2, got {stride}")
         self.c_in, self.c_out, self.stride, self.expansion = c_in, c_out, stride, expansion
         hidden = c_in * expansion
-        self.expand = PointwiseConv(c_in, hidden)
-        self.depthwise = DepthwiseConv(hidden, k=3, stride=stride, padding=1)
+        self.expand = PointwiseConv(c_in, hidden, relu6=True)
+        self.depthwise = DepthwiseConv(hidden, k=3, stride=stride, padding=1, relu6=True)
         self.project = PointwiseConv(hidden, c_out)
         self.use_residual = stride == 1 and c_in == c_out
 
     def forward(self, x):
         if x.shape[1] != self.c_in:
             raise ShapeError(f"IRBlock expects {self.c_in} channels, got {x.shape[1]}")
-        h = T.relu6(self.expand(x))
-        h = T.relu6(self.depthwise(h))
-        h = self.project(h)
+        h = self.project(self.depthwise(self.expand(x)))
         return T.add(h, x) if self.use_residual else h
 
     def out_hw(self, hw):
@@ -235,10 +237,10 @@ class VanillaUpBlock(Module):
     def __init__(self, c_in: int, c_out: int, fuse_in: int):
         super().__init__()
         self.deconv = ConvTranspose2d(c_in, c_out, k=2, stride=2)
-        self.conv = Conv2d(fuse_in, c_out, k=3, stride=1, padding=1)
+        self.conv = Conv2d(fuse_in, c_out, k=3, stride=1, padding=1, relu6=True)
 
     def fuse(self, m):
-        return T.relu6(self.conv(m))
+        return self.conv(m)
 
     def fuse_site(self, prefix: str, hw):
         return f"{prefix}.conv", "conv", self.conv.macs(hw)

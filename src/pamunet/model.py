@@ -139,7 +139,7 @@ class PAMUNet(Module):
         levels = config.levels
         c0 = ch[0]
 
-        self.stem = Conv2d(config.in_channels, c0, k=3, stride=1, padding=1)
+        self.stem = Conv2d(config.in_channels, c0, k=3, stride=1, padding=1, relu6=True)
 
         self._enc_stages = []
         prev = c0
@@ -154,7 +154,7 @@ class PAMUNet(Module):
         reduced = ch[-2] if levels >= 2 else ch[0]
         bott = Module()
         bott.ir = IRBlock(ch[-1], ch[-1], stride=1, expansion=t)
-        bott.reduce = PointwiseConv(ch[-1], reduced)
+        bott.reduce = PointwiseConv(ch[-1], reduced, relu6=True)
         self.bottleneck = bott
 
         # decoder stage j consumes skip j: enc[levels-2-j] output, stem for the last
@@ -191,14 +191,14 @@ class PAMUNet(Module):
             if acts is not None:
                 acts[name] = t.detach()
 
-        h = T.relu6(self.stem(x))
+        h = self.stem(x)
         skips = [h]
         for i, stage in enumerate(self._enc_stages):
             h = stage.block1(stage.block0(h))
             grab(f"enc{i}", h)
             skips.append(h)
 
-        h = T.relu6(self.bottleneck.reduce(self.bottleneck.ir(h)))
+        h = self.bottleneck.reduce(self.bottleneck.ir(h))
         grab("bottleneck", h)
 
         # skips[-2] pairs with the first decoder stage, skips[0] (stem) with the last

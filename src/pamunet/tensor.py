@@ -176,8 +176,8 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
         t.grad = t.grad + g
 
 
-def _track(*tensors: Tensor) -> bool:
-    return _tls().grad_enabled and any(t.requires_grad for t in tensors)
+def _track(*tensors: Tensor | None) -> bool:
+    return _tls().grad_enabled and any(t is not None and t.requires_grad for t in tensors)
 
 
 def _out(data: np.ndarray, track: bool, backward_fn=None) -> Tensor:
@@ -301,16 +301,8 @@ def neg(x) -> Tensor:
 
 
 def relu6(x) -> Tensor:
-    """min(max(x, 0), 6); subgradient 0 at both kinks."""
-    x = _as_tensor(x)
-    track = _track(x)
-    data = np.minimum(np.maximum(x.data, 0), 6)
-
-    def bw(g):
-        mask = (x.data > 0) & (x.data < 6)
-        accumulate_grad(x, g * mask)
-
-    return _out(data, track, bw)
+    """clamp(x, 0, 6): the tests' reference for the convs' ``relu6=True``."""
+    return clamp(x, 0, 6)
 
 
 def clamp(x, lo: float, hi: float) -> Tensor:
@@ -558,7 +550,30 @@ def _scatter(grid: np.ndarray, win: np.ndarray, stride: int) -> np.ndarray:
     return grid
 
 
-def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
+def _conv_node(out: np.ndarray, inputs, bias, relu6: bool, conv_bw) -> Tensor:
+    """Add the (C_out,1,1) ``bias`` and clamp to [0, 6] in place on a conv's fresh
+    output, keeping its layout, and record one tape node for all three.  The mask
+    ``0 < y < 6`` on the output is exactly ``0 < x < 6`` on the pre-activation."""
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.shape != (out.shape[1], 1, 1):
+            raise ShapeError(f"conv bias must be ({out.shape[1]},1,1), got {bias.shape}")
+        out += bias.data
+    if relu6:
+        np.maximum(out, 0, out=out)
+        np.minimum(out, 6, out=out)
+
+    def bw(g):
+        if relu6:
+            g = g * ((out > 0) & (out < 6))
+        if bias is not None:
+            accumulate_grad(bias, _unbroadcast(g, bias.shape))
+        conv_bw(g)
+
+    return _out(out, _track(*inputs, bias), bw)
+
+
+def conv2d(x, kernel, stride: int = 1, padding: int = 0, *, bias=None, relu6: bool = False) -> Tensor:
     """Vanilla 2-D convolution (cross-correlation) with zero padding."""
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.ndim != 4:
@@ -574,12 +589,11 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     ho, wo = _conv_out_size(h, k, stride, padding), _conv_out_size(w, k, stride, padding)
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv2d output would be empty for input {h}x{w}, k={k}, s={stride}, p={padding}")
-    track = _track(x, kernel)
 
     xp = _pad2d(x.data, padding)
     cols = _gather(xp, k, stride, ho, wo).reshape(n, ho * wo, c * k * k)
     wm = kernel.data.reshape(c_out, c * k * k)
-    out_data = (cols @ wm.T).transpose(0, 2, 1).reshape(n, c_out, ho, wo)
+    out_data = (cols @ wm.T).transpose(0, 2, 1).reshape(n, c_out, ho, wo)  # channels-last
 
     def bw(g):
         gf = g.reshape(n, c_out, ho * wo).transpose(0, 2, 1)
@@ -588,10 +602,11 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
             gxp = _scatter(np.zeros_like(xp), (gf @ wm).reshape(n, ho, wo, c, k, k), stride)
             accumulate_grad(x, gxp[:, :, padding:padding + h, padding:padding + w])
 
-    return _out(out_data, track, bw)
+    return _conv_node(out_data, (x, kernel), bias, relu6, bw)
 
 
-def depthwise_conv2d(x, kernel_d, stride: int = 1, padding: int = 0) -> Tensor:
+def depthwise_conv2d(x, kernel_d, stride: int = 1, padding: int = 0, *, bias=None,
+                     relu6: bool = False) -> Tensor:
     """Per-channel spatial convolution: channel c sees only kernel_d[c]."""
     x, kernel_d = _as_tensor(x), _as_tensor(kernel_d)
     if x.ndim != 4:
@@ -603,20 +618,21 @@ def depthwise_conv2d(x, kernel_d, stride: int = 1, padding: int = 0) -> Tensor:
     if c != ck:
         raise ShapeError(f"depthwise channel axis mismatch: input has {c} channels, kernel has {ck}")
     ho, wo = _conv_out_size(h, k, stride, padding), _conv_out_size(w, k, stride, padding)
-    track = _track(x, kernel_d)
 
-    # a per-tap multiply-accumulate: a gathered (k*k)-fold copy of the
-    # expanded activations would dominate memory at full resolution
+    # a per-tap multiply-accumulate: a gathered (k*k)-fold copy of the expanded
+    # activations would dominate memory at full resolution.  Backward pads again.
     xp = _pad2d(x.data, padding)
     kd = kernel_d.data[:, 0]
-    out_data = np.zeros((n, c, ho, wo), dtype=xp.dtype)
+    out_data = np.empty((n, c, ho, wo), dtype=xp.dtype)
     tmp = np.empty_like(out_data)
-    for i in range(k):
-        for j in range(k):
-            np.multiply(xp[_tap(i, j, ho, wo, stride)], kd[None, :, i, j, None, None], out=tmp)
+    for t, (i, j) in enumerate(np.ndindex(k, k)):
+        np.multiply(xp[_tap(i, j, ho, wo, stride)], kd[None, :, i, j, None, None],
+                    out=tmp if t else out_data)
+        if t:
             out_data += tmp
 
     def bw(g):
+        xp = _pad2d(x.data, padding)
         gk = np.empty((c, k, k), dtype=g.dtype)
         for i in range(k):
             for j in range(k):
@@ -625,15 +641,17 @@ def depthwise_conv2d(x, kernel_d, stride: int = 1, padding: int = 0) -> Tensor:
         accumulate_grad(kernel_d, gk[:, None])
         if x.requires_grad:
             gxp = np.zeros_like(xp)
+            prod = np.empty_like(g)
             for i in range(k):
                 for j in range(k):
-                    gxp[_tap(i, j, ho, wo, stride)] += g * kd[None, :, i, j, None, None]
+                    np.multiply(g, kd[None, :, i, j, None, None], out=prod)
+                    gxp[_tap(i, j, ho, wo, stride)] += prod
             accumulate_grad(x, gxp[:, :, padding:padding + h, padding:padding + w])
 
-    return _out(out_data, track, bw)
+    return _conv_node(out_data, (x, kernel_d), bias, relu6, bw)
 
 
-def pointwise_conv2d(x, kernel_p) -> Tensor:
+def pointwise_conv2d(x, kernel_p, *, bias=None, relu6: bool = False) -> Tensor:
     """1x1 convolution: a per-pixel linear map across channels."""
     x, kernel_p = _as_tensor(x), _as_tensor(kernel_p)
     if x.ndim != 4:
@@ -644,9 +662,8 @@ def pointwise_conv2d(x, kernel_p) -> Tensor:
     c_out, c_in = kernel_p.shape[:2]
     if c != c_in:
         raise ShapeError(f"pointwise channel axis mismatch: input has {c} channels, kernel expects {c_in}")
-    track = _track(x, kernel_p)
     m = kernel_p.data[:, :, 0, 0]
-    out_data = np.tensordot(x.data, m, axes=([1], [1])).transpose(0, 3, 1, 2)
+    out_data = np.ascontiguousarray(np.tensordot(x.data, m, axes=([1], [1])).transpose(0, 3, 1, 2))
 
     def bw(g):
         gm = np.tensordot(g, x.data, axes=([0, 2, 3], [0, 2, 3]))
@@ -654,10 +671,10 @@ def pointwise_conv2d(x, kernel_p) -> Tensor:
         if x.requires_grad:
             accumulate_grad(x, np.tensordot(g, m, axes=([1], [0])).transpose(0, 3, 1, 2))
 
-    return _out(np.ascontiguousarray(out_data), track, bw)
+    return _conv_node(out_data, (x, kernel_p), bias, relu6, bw)
 
 
-def conv_transpose2d(x, kernel, stride: int) -> Tensor:
+def conv_transpose2d(x, kernel, stride: int, *, bias=None, relu6: bool = False) -> Tensor:
     """Transposed convolution; output spatial size (H-1)*stride + k."""
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.ndim != 4:
@@ -671,7 +688,6 @@ def conv_transpose2d(x, kernel, stride: int) -> Tensor:
     if c != c_in:
         raise ShapeError(f"conv_transpose2d channel axis mismatch: input has {c} channels, kernel expects {c_in}")
     ho, wo = (h - 1) * stride + k, (w - 1) * stride + k
-    track = _track(x, kernel)
 
     # (N,H,W,C_out,k,k) contributions scattered onto the strided output grid
     out_data = _scatter(np.zeros((n, c_out, ho, wo), dtype=x.data.dtype),
@@ -684,4 +700,4 @@ def conv_transpose2d(x, kernel, stride: int) -> Tensor:
             gx = np.tensordot(gwin, kernel.data, axes=([3, 4, 5], [1, 2, 3]))
             accumulate_grad(x, gx.transpose(0, 3, 1, 2))
 
-    return _out(out_data, track, bw)
+    return _conv_node(out_data, (x, kernel), bias, relu6, bw)

@@ -5,9 +5,9 @@ entry magnitude), re-runs the forward function under no_grad, and compares the
 quotient against the analytic gradient produced by the tape.
 
 The kink-aware variant additionally records the relu6/clamp activity pattern
-of each evaluation; when a perturbation flips a unit across a kink the central
-difference stops being a derivative estimate, so that comparison is marked
-invalid instead of asserted.
+of each evaluation, ReLU6 applied inside a conv op included; when a
+perturbation flips a unit across a kink the central difference stops being a
+derivative estimate, so that comparison is marked invalid instead of asserted.
 """
 
 import contextlib
@@ -59,26 +59,40 @@ def check_gradients(f, inputs, tol=1e-4, h_scale=1e-5):
     return worst
 
 
+CONV_OPS = ("conv2d", "depthwise_conv2d", "pointwise_conv2d", "conv_transpose2d")
+
+
 @contextlib.contextmanager
 def _kink_signature(collector):
-    """Patch relu6/clamp to record per-site active-unit counts."""
-    real_relu6, real_clamp = T.relu6, T.clamp
+    """Patch clamp (relu6 calls it) and the conv ops to record per-site
+    active-unit counts.
 
-    def spy_relu6(x):
-        d = x.data if isinstance(x, T.Tensor) else np.asarray(x)
-        collector.append(int(np.count_nonzero((d > 0) & (d < 6))))
-        return real_relu6(x)
+    A conv called with ``relu6=True`` applies ReLU6 itself; its site is counted
+    on the output, where ``0 < y < 6`` holds exactly where it held on the input.
+    """
+    real = {name: getattr(T, name) for name in ("clamp",) + CONV_OPS}
 
     def spy_clamp(x, lo, hi):
         d = x.data if isinstance(x, T.Tensor) else np.asarray(x)
         collector.append(int(np.count_nonzero((d > lo) & (d < hi))))
-        return real_clamp(x, lo, hi)
+        return real["clamp"](x, lo, hi)
 
-    T.relu6, T.clamp = spy_relu6, spy_clamp
+    def spy_conv(op):
+        def spy(*args, **kwargs):
+            out = op(*args, **kwargs)
+            if kwargs.get("relu6"):
+                collector.append(int(np.count_nonzero((out.data > 0) & (out.data < 6))))
+            return out
+        return spy
+
+    T.clamp = spy_clamp
+    for name in CONV_OPS:
+        setattr(T, name, spy_conv(real[name]))
     try:
         yield
     finally:
-        T.relu6, T.clamp = real_relu6, real_clamp
+        for name, fn in real.items():
+            setattr(T, name, fn)
 
 
 def fd_gradient_kink_aware(f, t, h_scale=1e-5):

@@ -181,3 +181,73 @@ def test_gradients_do_not_leak_between_tapes():
     w.zero_grad()
     T.backward(T.tsum(T.mul(w, w)))
     np.testing.assert_allclose(w.grad, first)
+
+
+# -- bias and ReLU6 inside the conv ops ------------------------------------------------
+
+# op name -> (x shape, kernel shape, call); pointwise has no stride, so it runs once
+FUSED_OPS = {
+    "conv2d": ((2, 3, 7, 7), (4, 3, 3, 3),
+               lambda x, k, s, **kw: T.conv2d(x, k, s, 1, **kw)),
+    "depthwise_conv2d": ((2, 3, 7, 7), (3, 1, 3, 3),
+                         lambda x, k, s, **kw: T.depthwise_conv2d(x, k, s, 1, **kw)),
+    "pointwise_conv2d": ((2, 3, 7, 7), (4, 3, 1, 1),
+                         lambda x, k, s, **kw: T.pointwise_conv2d(x, k, **kw)),
+    "conv_transpose2d": ((2, 3, 5, 5), (3, 4, 2, 2),
+                         lambda x, k, s, **kw: T.conv_transpose2d(x, k, s, **kw)),
+}
+FUSED_CASES = [(name, s) for name in FUSED_OPS
+               for s in ((1,) if name == "pointwise_conv2d" else (1, 2))]
+
+
+def _fused_inputs(name, dtype, seed):
+    x_shape, k_shape, call = FUSED_OPS[name]
+    c_out = k_shape[1] if name == "conv_transpose2d" else k_shape[0]
+    rng = np.random.default_rng(seed)
+    x, k, b = (Tensor(rng.standard_normal(shape) * scale, requires_grad=True, dtype=dtype)
+               for shape, scale in ((x_shape, 3.0), (k_shape, 1.0), ((c_out, 1, 1), 2.0)))
+    return call, x, k, b
+
+
+def _value_and_grads(f, inputs, upstream):
+    out = f()
+    T.backward(T.tsum(T.mul(out, upstream)))
+    grads = [t.grad for t in inputs]
+    for t in inputs:
+        t.zero_grad()
+    return [out.data] + grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("relu6", [False, True])
+@pytest.mark.parametrize("name,stride", FUSED_CASES)
+def test_fused_conv_equals_unfused_composition_bitwise(name, stride, relu6, dtype):
+    call, x, k, b = _fused_inputs(name, dtype, seed=30)
+    act = T.relu6 if relu6 else (lambda t: t)
+    with T.no_grad():
+        shape = call(x, k, stride).shape
+    upstream = Tensor(np.random.default_rng(31).standard_normal(shape), dtype=dtype)
+    fused = _value_and_grads(lambda: call(x, k, stride, bias=b, relu6=relu6), [x, k, b], upstream)
+    plain = _value_and_grads(lambda: act(T.add(call(x, k, stride), b)), [x, k, b], upstream)
+    if relu6:
+        assert 0 < np.count_nonzero((fused[0] > 0) & (fused[0] < 6)) < fused[0].size
+    for what, got, want in zip(("output", "x grad", "kernel grad", "bias grad"), fused, plain):
+        assert got.dtype == want.dtype == dtype, what
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), what
+
+
+@pytest.mark.parametrize("name,stride", FUSED_CASES)
+def test_fd_fused_conv_with_bias(name, stride):
+    # a seed whose pre-activations all sit clear of the ReLU6 kinks, so every
+    # central difference is a derivative estimate
+    for seed in range(40, 80):
+        call, x, k, b = _fused_inputs(name, np.float64, seed)
+        with T.no_grad():
+            pre = T.add(call(x, k, stride), b).data
+        if np.min(np.minimum(np.abs(pre), np.abs(pre - 6.0))) > 1e-3:
+            break
+    else:
+        pytest.fail("no kink-free seed")
+    assert 0 < np.count_nonzero((pre > 0) & (pre < 6)) < pre.size
+    check_gradients(lambda: T.tsum(T.mul(call(x, k, stride, bias=b, relu6=True),
+                                         call(x, k, stride, bias=b, relu6=True))), [x, k, b])

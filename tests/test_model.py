@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gradcheck import check_gradients
+from gradcheck import _kink_signature, check_gradients
 from pamunet import attention as A
 from pamunet import tensor as T
 from pamunet.flops import count_flops
@@ -237,3 +237,16 @@ def test_end_to_end_gradients_spot_check():
         probes = [model.stem.kernel, model.head.bias,
                   dict(model.named_parameters())["dec0.gate.kv.kernel"]]
         check_gradients(f, probes, tol=1e-3)
+
+
+@pytest.mark.parametrize("kw,sites", [(dict(levels=2, base_channels=4, input_size=(16, 16)), 18),
+                                      ({}, 34)], ids=["gradcheck", "paper-default"])
+def test_kink_spy_sees_every_relu6_site(kw, sites):
+    # the gradcheck config and the paper default: stem, two per IR block
+    # (PLA gates' refine blocks included) and the bottleneck reduce
+    model = build(PAMUNetConfig(**kw), seed=8)
+    x = Tensor(np.random.default_rng(8).random((1, 1) + model.config.input_size))
+    collector = []
+    with T.no_grad(), _kink_signature(collector):
+        model.forward(x)
+    assert len(collector) == sites
