@@ -663,13 +663,18 @@ def pointwise_conv2d(x, kernel_p, *, bias=None, relu6: bool = False) -> Tensor:
     if c != c_in:
         raise ShapeError(f"pointwise channel axis mismatch: input has {c} channels, kernel expects {c_in}")
     m = kernel_p.data[:, :, 0, 0]
-    out_data = np.ascontiguousarray(np.tensordot(x.data, m, axes=([1], [1])).transpose(0, 3, 1, 2))
+    # one (C_out,C_in) @ (C_in,H*W) product per sample, straight into the output
+    out_data = np.empty((n, c_out, h, w), dtype=np.result_type(x.data, m))
+    np.matmul(m, x.data.reshape(n, c, h * w), out=out_data.reshape(n, c_out, h * w))
 
     def bw(g):
-        gm = np.tensordot(g, x.data, axes=([0, 2, 3], [0, 2, 3]))
+        g3 = g.reshape(n, c_out, h * w)
+        gm = (g3 @ x.data.reshape(n, c, h * w).transpose(0, 2, 1)).sum(axis=0)
         accumulate_grad(kernel_p, gm.reshape(kernel_p.shape))
         if x.requires_grad:
-            accumulate_grad(x, np.tensordot(g, m, axes=([1], [0])).transpose(0, 3, 1, 2))
+            gx = np.empty(x.shape, dtype=np.result_type(g3, m))
+            np.matmul(m.T, g3, out=gx.reshape(n, c, h * w))
+            accumulate_grad(x, gx)
 
     return _conv_node(out_data, (x, kernel_p), bias, relu6, bw)
 
