@@ -19,6 +19,8 @@ import numpy as np
 from pamunet import tensor as T
 from pamunet.tensor import Tensor
 
+MIN_PROBE = 4  # fewest probe samples that give a stable centering
+
 
 @dataclass
 class ActivationSet:
@@ -35,8 +37,8 @@ class ActivationSet:
 def capture(model, probe_batch: Tensor, model_tag: str = "model") -> ActivationSet:
     """Run one forward pass and flatten every named activation per sample."""
     n = probe_batch.shape[0]
-    if n < 4:
-        raise ValueError(f"probe batch needs >= 4 samples for stable centering, got {n}")
+    if n < MIN_PROBE:
+        raise ValueError(f"probe batch needs >= {MIN_PROBE} samples for stable centering, got {n}")
     with T.no_grad():
         out = model.forward(probe_batch, capture=True)
     layers = {name: np.asarray(act.data, dtype=np.float64).reshape(n, -1)

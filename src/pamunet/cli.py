@@ -19,7 +19,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from pamunet import tensor as T
-from pamunet.cka import capture, cka_matrix
+from pamunet.cka import MIN_PROBE, capture, cka_matrix
 from pamunet.data import (FormatError, Manifest, load_split, synth_batch,
                           synth_generate, write_image, write_mask)
 from pamunet.flops import count_flops
@@ -135,6 +135,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    for flag, path in (("--out", args.out), ("--log", args.log)):  # written after training
+        folder = os.path.dirname(os.path.abspath(path or "."))
+        if path and not os.path.isdir(folder):
+            raise FileNotFoundError(f"{flag} {path}: directory {folder} does not exist")
     manifest = Manifest.load(args.data)
     model_cfg = _model_config(args)
     train_cfg = _train_config(args)
@@ -186,7 +190,7 @@ def cmd_predict(args) -> int:
             for j, weights in enumerate(out.maps):
                 heat = _attention_heatmap(weights[0])
                 write_image(os.path.join(args.attention_dir, f"{sample.id}_gate{j}.pgm"),
-                            heat[None].astype(np.float32) / 255.0)
+                            heat[None])
     print(f"wrote {len(samples)} masks to {args.out}")
     return 0
 
@@ -201,6 +205,8 @@ def cmd_flops(args) -> int:
 
 
 def cmd_cka(args) -> int:
+    if args.probe_count < MIN_PROBE:
+        raise UsageError(f"--probe-count must be >= {MIN_PROBE}, got {args.probe_count}")
     model_a, _ = load_checkpoint(args.ckpt_a)
     model_b, _ = load_checkpoint(args.ckpt_b)
     ca, cb = model_a.config, model_b.config
@@ -356,7 +362,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ckpt-a", required=True)
     p.add_argument("--ckpt-b", required=True)
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--probe-count", type=int, default=32)
+    p.add_argument("--probe-count", type=int, default=32, help=f"probe samples (>= {MIN_PROBE})")
     p.add_argument("--probe-seed", type=int, default=99)
     p.set_defaults(fn=cmd_cka)
 

@@ -78,12 +78,13 @@ def read_image(path) -> Tensor:
 
 
 def write_image(path, image) -> None:
-    """Write a (C,H,W) tensor with values in [0,1] as binary P5/P6."""
+    """Write a (C,H,W) tensor with values in [0,1] as binary P5/P6; a uint8
+    array is written as the gray levels it holds."""
     data = np.asarray(getattr(image, "data", image))
     if data.ndim != 3 or data.shape[0] not in (1, 3):
         raise FormatError(f"image must be (1|3, H, W), got {data.shape}")
     c, h, w = data.shape
-    raw = np.rint(np.clip(data, 0.0, 1.0) * MAXVAL).astype(np.uint8)
+    raw = data if data.dtype == np.uint8 else np.rint(np.clip(data, 0.0, 1.0) * MAXVAL).astype(np.uint8)
     magic = b"P5" if c == 1 else b"P6"
     with open(path, "wb") as fh:
         fh.write(magic + b"\n" + f"{w} {h}\n{MAXVAL}\n".encode("ascii"))

@@ -34,7 +34,7 @@ def bce_loss(pred: Tensor, target: Tensor) -> Tensor:
     p = T.clamp(pred, CLAMP_EPS, 1.0 - CLAMP_EPS)
     pos = T.mul(target, T.log(p))
     neg = T.mul(T.sub(1.0, target), T.log(T.sub(1.0, p)))
-    return T.neg(T.mean(T.add(pos, neg)))
+    return T.mul(T.mean(T.add(pos, neg)), -1.0)
 
 
 def attention_reg(maps: list[Tensor]) -> Tensor:

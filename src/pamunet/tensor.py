@@ -290,16 +290,6 @@ def mul(a, b) -> Tensor:
     return _out(a.data * b.data, track, bw)
 
 
-def neg(x) -> Tensor:
-    x = _as_tensor(x)
-    track = _track(x)
-
-    def bw(g):
-        accumulate_grad(x, -g)
-
-    return _out(-x.data, track, bw)
-
-
 def relu6(x) -> Tensor:
     """clamp(x, 0, 6): the tests' reference for the convs' ``relu6=True``."""
     return clamp(x, 0, 6)

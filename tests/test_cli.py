@@ -11,6 +11,7 @@ import pytest
 
 from pamunet import attention as A
 from pamunet import cli
+from pamunet import train as TR
 from pamunet.data import Manifest, read_image, synth_generate
 from pamunet.flops import count_flops
 from pamunet.model import PAMUNet, PAMUNetConfig, build
@@ -76,6 +77,30 @@ def test_train_eval_predict_roundtrip(tmp_path, dataset):
     heats = list(attn_dir.glob("*_gate*.pgm"))
     assert heats  # one per gate per sample
     assert heats[0].read_bytes().startswith(b"P5")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--log"])
+def test_train_refuses_a_missing_output_directory_before_training(tmp_path, dataset, flag,
+                                                                   monkeypatch, capsys):
+    steps = []
+    step = TR.SGD.step
+
+    def counting_step(self, *args, **kwargs):
+        steps.append(1)
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(TR.SGD, "step", counting_step)
+    paths = {"--out": str(tmp_path / "m.pamckpt"), "--log": str(tmp_path / "log.csv")}
+    paths[flag] = str(tmp_path / "missing" / "file")
+    argv = ["train", "--data", str(dataset), *TINY_MODEL, "--epochs", "1", "--batch-size", "4"]
+    for name, path in paths.items():
+        argv += [name, path]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and paths[flag] in err and flag in err
+    assert steps == []
+    assert run(argv[:-4] + ["--out", str(tmp_path / "m.pamckpt")]) == 0
+    assert steps  # the same run with a valid --out trains
 
 
 def test_train_is_deterministic_across_runs(tmp_path, dataset):
@@ -354,6 +379,12 @@ def _bad_invocations(tmp_path, dataset):
         (["flops", "--config", missing], 2, missing),
         (["cka", "--ckpt-a", missing, "--ckpt-b", missing, "--out", missing], 2, missing),
         (["ablate", "--data", missing], 2, missing),
+        (["cka", "--ckpt-a", missing, "--ckpt-b", missing, "--out", missing,
+          "--probe-count", "3"], 1, "--probe-count"),
+        (["cka", "--ckpt-a", missing, "--ckpt-b", missing, "--out", missing,
+          "--probe-count", "0"], 1, "--probe-count"),
+        (["cka", "--ckpt-a", missing, "--ckpt-b", missing, "--out", missing,
+          "--probe-count", "-1"], 1, "--probe-count"),
         (["ablate", *data, "--seeds", "0"], 1, "--seeds"),
         (["ablate", *data, "--seeds", "-2"], 1, "--seeds"),
         (["synth", "--out", str(tmp_path / "s"), "--size", "0"], 2, "size"),

@@ -28,6 +28,16 @@ def test_p6_roundtrip_is_byte_identical(tmp_path):
     assert path.read_bytes() == first
 
 
+@pytest.mark.parametrize("channels", [1, 3])
+def test_uint8_image_is_written_as_its_gray_levels(tmp_path, channels):
+    # every level survives the float round trip, so both spellings write the same file
+    levels = np.resize(np.arange(256, dtype=np.uint8), (channels, 16, 17))
+    D.write_image(tmp_path / "u8", levels)
+    D.write_image(tmp_path / "f32", levels.astype(np.float32) / 255.0)
+    assert (tmp_path / "u8").read_bytes() == (tmp_path / "f32").read_bytes()
+    np.testing.assert_array_equal(D.read_image(tmp_path / "u8").data * 255.0, levels)
+
+
 def test_p5_roundtrip_is_byte_identical(tmp_path):
     rng = np.random.default_rng(1)
     raw = rng.integers(0, 256, (1, 6, 9), dtype=np.uint8)
