@@ -90,17 +90,15 @@ def test_train_refuses_a_missing_output_directory_before_training(tmp_path, data
         return step(self, *args, **kwargs)
 
     monkeypatch.setattr(TR.SGD, "step", counting_step)
-    paths = {"--out": str(tmp_path / "m.pamckpt"), "--log": str(tmp_path / "log.csv")}
-    paths[flag] = str(tmp_path / "missing" / "file")
-    argv = ["train", "--data", str(dataset), *TINY_MODEL, "--epochs", "1", "--batch-size", "4"]
-    for name, path in paths.items():
-        argv += [name, path]
-    assert run(argv) == 2
+    train = ["train", "--data", str(dataset), *TINY_MODEL, "--epochs", "1", "--batch-size", "4",
+             "--out", str(tmp_path / "m.pamckpt")]
+    missing = str(tmp_path / "missing" / "file")
+    assert run(train + [flag, missing]) == 2  # a later --out wins over the first
     err = capsys.readouterr().err
-    assert err.startswith("data error:") and paths[flag] in err and flag in err
+    assert err.startswith("data error:") and missing in err and flag in err
     assert steps == []
-    assert run(argv[:-4] + ["--out", str(tmp_path / "m.pamckpt")]) == 0
-    assert steps  # the same run with a valid --out trains
+    assert run(train) == 0
+    assert steps  # the same run with valid paths trains
 
 
 def test_train_is_deterministic_across_runs(tmp_path, dataset):
