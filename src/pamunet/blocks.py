@@ -6,8 +6,8 @@ running), and how many multiply-accumulates that forward costs.  The static
 shape/MAC methods back the FLOPs counter and the shape-total tests.  The
 decoder up blocks are pairs of such layers with one FLOPs row per fuse.
 
-No normalization layers are used; convs carry biases instead, and a conv layer
-built with ``relu6=True`` applies ReLU6 inside its conv op (one tape node).
+No normalization layers are used; convs carry biases instead.  ``Conv2d``,
+``DepthwiseConv`` and ``PointwiseConv(relu6=True)`` apply ReLU6 in their conv op.
 """
 
 from __future__ import annotations
@@ -67,18 +67,17 @@ def _conv_hw(hw, k, stride, padding):
 
 
 class Conv2d(Module):
-    """Vanilla convolution with bias."""
+    """Vanilla convolution + bias + ReLU6."""
 
-    def __init__(self, c_in: int, c_out: int, k: int, stride: int = 1, padding: int = 0,
-                 relu6: bool = False):
+    def __init__(self, c_in: int, c_out: int, k: int, stride: int = 1, padding: int = 0):
         super().__init__()
         self.c_in, self.c_out, self.k = c_in, c_out, k
-        self.stride, self.padding, self.relu6 = stride, padding, relu6
+        self.stride, self.padding = stride, padding
         self.kernel = _zeros(c_out, c_in, k, k)
         self.bias = _zeros(c_out, 1, 1)
 
     def forward(self, x):
-        return T.conv2d(x, self.kernel, self.stride, self.padding, bias=self.bias, relu6=self.relu6)
+        return T.conv2d(x, self.kernel, self.stride, self.padding, bias=self.bias, relu6=True)
 
     def out_hw(self, hw):
         return _conv_hw(hw, self.k, self.stride, self.padding)
@@ -109,17 +108,17 @@ class PointwiseConv(Module):
 
 
 class DepthwiseConv(Module):
-    def __init__(self, channels: int, k: int = 3, stride: int = 1, padding: int = 1,
-                 relu6: bool = False):
+    """Per-channel convolution + bias + ReLU6."""
+
+    def __init__(self, channels: int, k: int = 3, stride: int = 1, padding: int = 1):
         super().__init__()
         self.channels, self.k = channels, k
-        self.stride, self.padding, self.relu6 = stride, padding, relu6
+        self.stride, self.padding = stride, padding
         self.kernel = _zeros(channels, 1, k, k)
         self.bias = _zeros(channels, 1, 1)
 
     def forward(self, x):
-        return T.depthwise_conv2d(x, self.kernel, self.stride, self.padding, bias=self.bias,
-                                  relu6=self.relu6)
+        return T.depthwise_conv2d(x, self.kernel, self.stride, self.padding, bias=self.bias, relu6=True)
 
     def out_hw(self, hw):
         return _conv_hw(hw, self.k, self.stride, self.padding)
@@ -191,7 +190,7 @@ class IRBlock(Module):
         self.c_in, self.c_out, self.stride, self.expansion = c_in, c_out, stride, expansion
         hidden = c_in * expansion
         self.expand = PointwiseConv(c_in, hidden, relu6=True)
-        self.depthwise = DepthwiseConv(hidden, k=3, stride=stride, padding=1, relu6=True)
+        self.depthwise = DepthwiseConv(hidden, k=3, stride=stride, padding=1)
         self.project = PointwiseConv(hidden, c_out)
         self.use_residual = stride == 1 and c_in == c_out
 
@@ -237,7 +236,7 @@ class VanillaUpBlock(Module):
     def __init__(self, c_in: int, c_out: int, fuse_in: int):
         super().__init__()
         self.deconv = ConvTranspose2d(c_in, c_out, k=2, stride=2)
-        self.conv = Conv2d(fuse_in, c_out, k=3, stride=1, padding=1, relu6=True)
+        self.conv = Conv2d(fuse_in, c_out, k=3, stride=1, padding=1)
 
     def fuse(self, m):
         return self.conv(m)

@@ -136,9 +136,11 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     for flag, path in (("--out", args.out), ("--log", args.log)):  # written after training
-        folder = os.path.dirname(os.path.abspath(path or "."))
-        if path and not os.path.isdir(folder):
-            raise FileNotFoundError(f"{flag} {path}: directory {folder} does not exist")
+        if path:
+            try:
+                os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+            except OSError as e:
+                raise OSError(f"{flag} {path}: cannot make its directory: {e}") from e
     manifest = Manifest.load(args.data)
     model_cfg = _model_config(args)
     train_cfg = _train_config(args)

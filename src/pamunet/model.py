@@ -139,7 +139,7 @@ class PAMUNet(Module):
         levels = config.levels
         c0 = ch[0]
 
-        self.stem = Conv2d(config.in_channels, c0, k=3, stride=1, padding=1, relu6=True)
+        self.stem = Conv2d(config.in_channels, c0, k=3, stride=1, padding=1)
 
         self._enc_stages = []
         prev = c0

@@ -595,8 +595,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, *, bias=None, relu6: bo
     return _conv_node(out_data, (x, kernel), bias, relu6, bw)
 
 
-def depthwise_conv2d(x, kernel_d, stride: int = 1, padding: int = 0, *, bias=None,
-                     relu6: bool = False) -> Tensor:
+def depthwise_conv2d(x, kernel_d, stride: int = 1, padding: int = 0, *, bias=None, relu6: bool = False) -> Tensor:
     """Per-channel spatial convolution: channel c sees only kernel_d[c]."""
     x, kernel_d = _as_tensor(x), _as_tensor(kernel_d)
     if x.ndim != 4:
@@ -669,7 +668,7 @@ def pointwise_conv2d(x, kernel_p, *, bias=None, relu6: bool = False) -> Tensor:
     return _conv_node(out_data, (x, kernel_p), bias, relu6, bw)
 
 
-def conv_transpose2d(x, kernel, stride: int, *, bias=None, relu6: bool = False) -> Tensor:
+def conv_transpose2d(x, kernel, stride: int, *, bias=None) -> Tensor:
     """Transposed convolution; output spatial size (H-1)*stride + k."""
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.ndim != 4:
@@ -695,4 +694,4 @@ def conv_transpose2d(x, kernel, stride: int, *, bias=None, relu6: bool = False) 
             gx = np.tensordot(gwin, kernel.data, axes=([3, 4, 5], [1, 2, 3]))
             accumulate_grad(x, gx.transpose(0, 3, 1, 2))
 
-    return _conv_node(out_data, (x, kernel), bias, relu6, bw)
+    return _conv_node(out_data, (x, kernel), bias, False, bw)

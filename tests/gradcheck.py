@@ -59,7 +59,7 @@ def check_gradients(f, inputs, tol=1e-4, h_scale=1e-5):
     return worst
 
 
-CONV_OPS = ("conv2d", "depthwise_conv2d", "pointwise_conv2d", "conv_transpose2d")
+CONV_OPS = ("conv2d", "depthwise_conv2d", "pointwise_conv2d")  # the ops that take relu6
 
 
 @contextlib.contextmanager

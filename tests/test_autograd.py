@@ -185,7 +185,8 @@ def test_gradients_do_not_leak_between_tapes():
 
 # -- bias and ReLU6 inside the conv ops ------------------------------------------------
 
-# op name -> (x shape, kernel shape, call); pointwise has no stride, so it runs once
+# op name -> (x shape, kernel shape, call); pointwise has no stride, so it runs
+# once, and conv_transpose2d takes a bias but no ReLU6
 FUSED_OPS = {
     "conv2d": ((2, 3, 7, 7), (4, 3, 3, 3),
                lambda x, k, s, **kw: T.conv2d(x, k, s, 1, **kw)),
@@ -198,6 +199,7 @@ FUSED_OPS = {
 }
 FUSED_CASES = [(name, s) for name in FUSED_OPS
                for s in ((1,) if name == "pointwise_conv2d" else (1, 2))]
+RELU6_CASES = [(name, s) for name, s in FUSED_CASES if name != "conv_transpose2d"]
 
 
 def _fused_inputs(name, dtype, seed):
@@ -219,15 +221,16 @@ def _value_and_grads(f, inputs, upstream):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("relu6", [False, True])
-@pytest.mark.parametrize("name,stride", FUSED_CASES)
+@pytest.mark.parametrize("name,stride,relu6", [c + (False,) for c in FUSED_CASES]
+                         + [c + (True,) for c in RELU6_CASES])
 def test_fused_conv_equals_unfused_composition_bitwise(name, stride, relu6, dtype):
     call, x, k, b = _fused_inputs(name, dtype, seed=30)
     act = T.relu6 if relu6 else (lambda t: t)
+    kw = {"relu6": True} if relu6 else {}
     with T.no_grad():
         shape = call(x, k, stride).shape
     upstream = Tensor(np.random.default_rng(31).standard_normal(shape), dtype=dtype)
-    fused = _value_and_grads(lambda: call(x, k, stride, bias=b, relu6=relu6), [x, k, b], upstream)
+    fused = _value_and_grads(lambda: call(x, k, stride, bias=b, **kw), [x, k, b], upstream)
     plain = _value_and_grads(lambda: act(T.add(call(x, k, stride), b)), [x, k, b], upstream)
     if relu6:
         assert 0 < np.count_nonzero((fused[0] > 0) & (fused[0] < 6)) < fused[0].size
@@ -236,7 +239,7 @@ def test_fused_conv_equals_unfused_composition_bitwise(name, stride, relu6, dtyp
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), what
 
 
-@pytest.mark.parametrize("name,stride", FUSED_CASES)
+@pytest.mark.parametrize("name,stride", RELU6_CASES)
 def test_fd_fused_conv_with_bias(name, stride):
     # a seed whose pre-activations all sit clear of the ReLU6 kinks, so every
     # central difference is a derivative estimate

@@ -80,8 +80,8 @@ def test_train_eval_predict_roundtrip(tmp_path, dataset):
 
 
 @pytest.mark.parametrize("flag", ["--out", "--log"])
-def test_train_refuses_a_missing_output_directory_before_training(tmp_path, dataset, flag,
-                                                                   monkeypatch, capsys):
+def test_train_makes_output_directories_before_training(tmp_path, dataset, flag,
+                                                        monkeypatch, capsys):
     steps = []
     step = TR.SGD.step
 
@@ -92,13 +92,15 @@ def test_train_refuses_a_missing_output_directory_before_training(tmp_path, data
     monkeypatch.setattr(TR.SGD, "step", counting_step)
     train = ["train", "--data", str(dataset), *TINY_MODEL, "--epochs", "1", "--batch-size", "4",
              "--out", str(tmp_path / "m.pamckpt")]
-    missing = str(tmp_path / "missing" / "file")
-    assert run(train + [flag, missing]) == 2  # a later --out wins over the first
+    (tmp_path / "plain").write_text("")
+    blocked = str(tmp_path / "plain" / "sub" / "file")  # its directory cannot be made
+    assert run(train + [flag, blocked]) == 2  # a later --out wins over the first
     err = capsys.readouterr().err
-    assert err.startswith("data error:") and missing in err and flag in err
+    assert err.startswith("data error:") and blocked in err and flag in err
     assert steps == []
-    assert run(train) == 0
-    assert steps  # the same run with valid paths trains
+    fresh = tmp_path / "new" / "deeper" / "file"
+    assert run(train + [flag, str(fresh)]) == 0
+    assert steps and fresh.exists()  # the missing directories were made and the run trained
 
 
 def test_train_is_deterministic_across_runs(tmp_path, dataset):
