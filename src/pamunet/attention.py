@@ -39,7 +39,7 @@ import numpy as np
 
 from pamunet import tensor as T
 from pamunet.blocks import ConvTranspose2d, IRBlock, Module, PointwiseConv
-from pamunet.tensor import ShapeError, Tensor, accumulate_grad, record_op
+from pamunet.tensor import ShapeError, Tensor, accumulate_grad
 
 MATERIALIZE_BYTES = 16 * 2 ** 20  # max per-sample weight-map bytes kept on the dot tape
 MATERIALIZE_LIMIT = 4096  # max grid positions of the additive gate's full score map
@@ -104,12 +104,6 @@ def scaled_dot_attention_streaming(q: Tensor, k: Tensor, v: Tensor, chunk: int =
     w_mean = w_sum / total
     var_data = np.asarray(w_sumsq / total - w_mean * w_mean, dtype=qd.dtype)
 
-    track = T._track(q, k, v)
-    out = Tensor._wrap(out_data, track)
-    var = Tensor._wrap(var_data, track)
-    if not track:
-        return out, var
-
     def bw(gs):
         g_out, g_var = gs
         # C-ordered, whatever the layout of the (often transposed) inputs
@@ -141,8 +135,7 @@ def scaled_dot_attention_streaming(q: Tensor, k: Tensor, v: Tensor, chunk: int =
         if gv is not None:
             accumulate_grad(v, gv)
 
-    record_op(bw, (out, var))
-    return out, var
+    return T._out((out_data, var_data), (q, k, v), bw)
 
 
 def additive_scores(qp: Tensor, kp: Tensor, vvec: Tensor, chunk: int = 256) -> Tensor:
@@ -162,8 +155,6 @@ def additive_scores(qp: Tensor, kp: Tensor, vvec: Tensor, chunk: int = 256) -> T
         hi = min(lo + chunk, lq)
         t = np.tanh(qd[:, lo:hi, None, :] + kd[:, None, :, :])
         out_data[:, lo:hi] = t @ vd
-
-    track = T._track(qp, kp, vvec)
 
     def bw(g):
         gq = np.zeros_like(qd) if qp.requires_grad else None
@@ -191,7 +182,7 @@ def additive_scores(qp: Tensor, kp: Tensor, vvec: Tensor, chunk: int = 256) -> T
         if gv is not None:
             accumulate_grad(vvec, gv)
 
-    return T._out(out_data, track, bw)
+    return T._out(out_data, (qp, kp, vvec), bw)
 
 
 # -- gates -------------------------------------------------------------------

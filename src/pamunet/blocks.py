@@ -61,92 +61,66 @@ def _zeros(*shape) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=True)
 
 
-def _conv_hw(hw, k, stride, padding):
-    h, w = hw
-    return ((h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1)
+class _Conv(Module):
+    """Owns a conv layer's kernel and (C_out,1,1) bias, in that order, its output
+    size and its MACs: one per kernel weight per position of the grid the kernel
+    slides over, the output grid or, for a transposed conv, the input grid."""
+
+    _transposed = False
+
+    def __init__(self, kernel_shape, c_bias: int, k: int = 1, stride: int = 1, padding: int = 0):
+        super().__init__()
+        self.k, self.stride, self.padding = k, stride, padding
+        self.kernel = _zeros(*kernel_shape)
+        self.bias = _zeros(c_bias, 1, 1)
+
+    def out_hw(self, hw):
+        return T._conv_out_hw(hw, self.k, self.stride, self.padding, self._transposed)
+
+    def macs(self, hw) -> int:
+        h, w = hw if self._transposed else self.out_hw(hw)
+        return self.kernel.size * h * w
 
 
-class Conv2d(Module):
+class Conv2d(_Conv):
     """Vanilla convolution + bias + ReLU6."""
 
     def __init__(self, c_in: int, c_out: int, k: int, stride: int = 1, padding: int = 0):
-        super().__init__()
-        self.c_in, self.c_out, self.k = c_in, c_out, k
-        self.stride, self.padding = stride, padding
-        self.kernel = _zeros(c_out, c_in, k, k)
-        self.bias = _zeros(c_out, 1, 1)
+        super().__init__((c_out, c_in, k, k), c_out, k, stride, padding)
 
     def forward(self, x):
         return T.conv2d(x, self.kernel, self.stride, self.padding, bias=self.bias, relu6=True)
 
-    def out_hw(self, hw):
-        return _conv_hw(hw, self.k, self.stride, self.padding)
 
-    def macs(self, hw) -> int:
-        ho, wo = self.out_hw(hw)
-        return self.k * self.k * self.c_in * self.c_out * ho * wo
-
-
-class PointwiseConv(Module):
+class PointwiseConv(_Conv):
     """1x1 conv: per-pixel linear map across channels."""
 
     def __init__(self, c_in: int, c_out: int, relu6: bool = False):
-        super().__init__()
+        super().__init__((c_out, c_in, 1, 1), c_out)
         self.c_in, self.c_out, self.relu6 = c_in, c_out, relu6
-        self.kernel = _zeros(c_out, c_in, 1, 1)
-        self.bias = _zeros(c_out, 1, 1)
 
     def forward(self, x):
         return T.pointwise_conv2d(x, self.kernel, bias=self.bias, relu6=self.relu6)
 
-    def out_hw(self, hw):
-        return hw
 
-    def macs(self, hw) -> int:
-        h, w = hw
-        return self.c_in * self.c_out * h * w
-
-
-class DepthwiseConv(Module):
+class DepthwiseConv(_Conv):
     """Per-channel convolution + bias + ReLU6."""
 
     def __init__(self, channels: int, k: int = 3, stride: int = 1, padding: int = 1):
-        super().__init__()
-        self.channels, self.k = channels, k
-        self.stride, self.padding = stride, padding
-        self.kernel = _zeros(channels, 1, k, k)
-        self.bias = _zeros(channels, 1, 1)
+        super().__init__((channels, 1, k, k), channels, k, stride, padding)
 
     def forward(self, x):
         return T.depthwise_conv2d(x, self.kernel, self.stride, self.padding, bias=self.bias, relu6=True)
 
-    def out_hw(self, hw):
-        return _conv_hw(hw, self.k, self.stride, self.padding)
 
-    def macs(self, hw) -> int:
-        ho, wo = self.out_hw(hw)
-        return self.k * self.k * self.channels * ho * wo
+class ConvTranspose2d(_Conv):
+    _transposed = True
 
-
-class ConvTranspose2d(Module):
     def __init__(self, c_in: int, c_out: int, k: int = 2, stride: int = 2):
-        super().__init__()
-        self.c_in, self.c_out, self.k, self.stride = c_in, c_out, k, stride
-        self.kernel = _zeros(c_in, c_out, k, k)
-        self.bias = _zeros(c_out, 1, 1)
+        super().__init__((c_in, c_out, k, k), c_out, k, stride)
 
     def forward(self, x):
         return T.conv_transpose2d(x, self.kernel, self.stride, bias=self.bias)
-
-    def out_hw(self, hw):
-        h, w = hw
-        return ((h - 1) * self.stride + self.k, (w - 1) * self.stride + self.k)
-
-    def macs(self, hw) -> int:
-        # counted at the equivalent forward conv: every input pixel touches
-        # the full k*k*C_in*C_out kernel once
-        h, w = hw
-        return self.k * self.k * self.c_in * self.c_out * h * w
 
 
 class DSConvLayer(Module):
@@ -167,7 +141,7 @@ class DSConvLayer(Module):
         return T.pointwise_conv2d(h, self.kernel_p, bias=self.bias)
 
     def out_hw(self, hw):
-        return _conv_hw(hw, self.k, self.stride, self.padding)
+        return T._conv_out_hw(hw, self.k, self.stride, self.padding)
 
     def macs(self, hw) -> int:
         ho, wo = self.out_hw(hw)

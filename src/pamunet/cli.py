@@ -20,7 +20,7 @@ import numpy as np
 
 from pamunet import tensor as T
 from pamunet.cka import MIN_PROBE, capture, cka_matrix
-from pamunet.data import (FormatError, Manifest, load_split, synth_batch,
+from pamunet.data import (SPLITS, FormatError, Manifest, load_split, synth_batch,
                           synth_generate, write_image, write_mask)
 from pamunet.flops import count_flops
 from pamunet.model import (ATTENTION_VARIANTS, DECODER_KINDS, PAMUNetConfig,
@@ -128,7 +128,7 @@ def cmd_synth(args) -> int:
     manifest = synth_generate(args.out, seed=args.seed, count=args.count,
                               size=args.size, max_blobs=args.max_blobs,
                               channels=args.channels)
-    counts = {s: len(manifest.split(s)) for s in ("train", "val", "test")}
+    counts = {s: len(manifest.split(s)) for s in SPLITS}
     print(f"wrote {len(manifest.entries)} samples to {args.out} "
           f"(train/val/test = {counts['train']}/{counts['val']}/{counts['test']})")
     return 0
@@ -342,14 +342,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", default="test", choices=("train", "val", "test"))
+    p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--out", help="per-sample metrics CSV")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("predict", help="write predicted mask PGMs")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", default="test", choices=("train", "val", "test"))
+    p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--out", required=True, help="directory for mask PGMs")
     p.add_argument("--attention-dir",
                    help="also export attention maps as row-normalized PGM heatmaps")

@@ -5,7 +5,8 @@ File contracts:
 * images: binary netpbm, P5 (grayscale) or P6 (RGB), maxval 255; masks are P5
   with values {0, 255} only.
 * manifest: one ``id<TAB>image_path<TAB>mask_path<TAB>split`` line per sample,
-  UTF-8, LF endings; paths are relative to the manifest's directory.
+  UTF-8, LF endings; paths are relative to the manifest's directory, and the
+  split is ``train``, ``val`` or ``test``.
 
 The synthetic generator rasterizes filled ellipses with integer centers and
 axes using the pixel-center rule (x-cx)^2/a^2 + (y-cy)^2/b^2 <= 1, so the
@@ -28,6 +29,7 @@ class FormatError(ValueError):
 
 MAXVAL = 255
 AUGMENT_OPS = ("hflip", "vflip", "rot90", "rot180", "rot270")
+SPLITS = ("train", "val", "test")  # the only split names a manifest may use
 
 
 # -- netpbm ------------------------------------------------------------------
@@ -155,6 +157,9 @@ class Manifest:
                 parts = line.split("\t")
                 if len(parts) != 4:
                     raise FormatError(f"manifest line {lineno} has {len(parts)} fields, expected 4")
+                if parts[3] not in SPLITS:
+                    raise FormatError(f"manifest line {lineno} has split {parts[3]!r}, "
+                                      f"expected one of {SPLITS}")
                 entries.append(ManifestEntry(*parts))
         return cls(entries=entries, root=os.path.dirname(os.path.abspath(path)))
 

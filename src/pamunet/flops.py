@@ -1,8 +1,8 @@
 """Analytic per-layer MAC/FLOPs accounting.
 
-MAC model: vanilla conv k^2*C_in*C_out*Ho*Wo; depthwise k^2*C*Ho*Wo; pointwise
-C_in*C_out*H*W; transposed conv counted at its equivalent forward conv
-(k^2*C_in*C_out per input pixel); attention Lq*Lk*d per Q.K^T and per W.V.
+MAC model: a conv layer costs kernel.size MACs per position of the grid its
+kernel slides over: the output grid, or the input grid for a transposed conv
+(so depthwise is k^2*C*Ho*Wo).  Attention costs Lq*Lk*d per Q.K^T and per W.V.
 Elementwise work (bias adds, activations, softmax normalization) is excluded.
 Convention: 1 MAC = 2 FLOPs.
 """
@@ -45,6 +45,6 @@ class FlopsReport:
         return "\n".join(lines)
 
 
-def count_flops(model, input_size: tuple[int, int] | None = None) -> FlopsReport:
-    """Walk the model structure at the given (or configured) input size."""
-    return FlopsReport(rows=list(model.mac_sites(input_size)))
+def count_flops(model) -> FlopsReport:
+    """Walk the model structure at its configured input size."""
+    return FlopsReport(rows=list(model.mac_sites()))

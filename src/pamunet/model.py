@@ -38,9 +38,12 @@ DECODER_KINDS = ("vanilla", "mobile")
 
 
 def _fits(value, hint) -> bool:
-    if typing.get_origin(hint) in (list, tuple):
-        elem = typing.get_args(hint)[0]
-        return isinstance(value, (list, tuple)) and all(_fits(v, elem) for v in value)
+    origin = typing.get_origin(hint)
+    if origin in (list, tuple):
+        args = typing.get_args(hint)
+        if not isinstance(value, (list, tuple)) or (origin is tuple and len(value) != len(args)):
+            return False
+        return all(_fits(v, args[0]) for v in value)
     if isinstance(value, bool):
         return hint is bool
     return isinstance(value, (int, float) if hint is float else hint)
@@ -225,10 +228,10 @@ class PAMUNet(Module):
         return ([f"enc{i}" for i in range(levels)] + ["bottleneck"]
                 + [f"dec{j}" for j in range(levels)] + ["head"])
 
-    def mac_sites(self, input_size: tuple[int, int] | None = None):
+    def mac_sites(self):
         """Yield (layer name, kind, MAC count) for every multiply-bearing site,
-        walking the same structure as forward at the given input size."""
-        hw = tuple(input_size) if input_size is not None else self._config.input_size
+        walking the same structure as forward at the configured input size."""
+        hw = self._config.input_size
         yield "stem", "conv", self.stem.macs(hw)
         for i, stage in enumerate(self._enc_stages):
             yield f"enc{i}.block0", "irblock", stage.block0.macs(hw)

@@ -72,10 +72,6 @@ def _tls():
     return _STATE
 
 
-def grad_enabled() -> bool:
-    return _tls().grad_enabled
-
-
 @contextmanager
 def no_grad():
     """Disable tape recording inside the block (inference / FD loops)."""
@@ -149,8 +145,9 @@ def record_op(backward_fn, outputs: Sequence[Tensor]) -> None:
 
     ``backward_fn`` receives the upstream gradient (a single ndarray for one
     output, a tuple of ndarray-or-None for several) and must accumulate into
-    the op's inputs via :func:`accumulate_grad`.  Exposed so fused ops outside
-    this module (e.g. chunked attention) can participate in the tape.
+    the op's inputs via :func:`accumulate_grad`.  :func:`_out` is the only
+    caller; the function keeps its own public name because perfbench's tracer
+    wraps ``tensor.record_op`` to count tape nodes and time each backward.
     """
     st = _tls()
     tape = st.tape
@@ -176,15 +173,16 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
         t.grad = t.grad + g
 
 
-def _track(*tensors: Tensor | None) -> bool:
-    return _tls().grad_enabled and any(t is not None and t.requires_grad for t in tensors)
-
-
-def _out(data: np.ndarray, track: bool, backward_fn=None) -> Tensor:
-    out = Tensor._wrap(data, track)
+def _out(data, inputs, backward_fn):
+    """Wrap an op's result, one array or a tuple of arrays, as tensors, and
+    record ``backward_fn`` as one tape node when recording is on and any of
+    ``inputs`` (``None`` entries allowed) requires grad."""
+    track = _tls().grad_enabled and any(t is not None and t.requires_grad for t in inputs)
+    several = type(data) is tuple
+    outs = tuple(Tensor._wrap(d, track) for d in data) if several else (Tensor._wrap(data, track),)
     if track:
-        record_op(backward_fn, (out,))
-    return out
+        record_op(backward_fn, outs)
+    return outs if several else outs[0]
 
 
 def backward(loss: Tensor) -> None:
@@ -257,37 +255,34 @@ def _check_broadcast(a: Tensor, b: Tensor) -> None:
 def add(a, b) -> Tensor:
     a, b = _coerce_pair(a, b)
     _check_broadcast(a, b)
-    track = _track(a, b)
 
     def bw(g):
         accumulate_grad(a, _unbroadcast(g, a.shape))
         accumulate_grad(b, _unbroadcast(g, b.shape))
 
-    return _out(a.data + b.data, track, bw)
+    return _out(a.data + b.data, (a, b), bw)
 
 
 def sub(a, b) -> Tensor:
     a, b = _coerce_pair(a, b)
     _check_broadcast(a, b)
-    track = _track(a, b)
 
     def bw(g):
         accumulate_grad(a, _unbroadcast(g, a.shape))
         accumulate_grad(b, _unbroadcast(-g, b.shape))
 
-    return _out(a.data - b.data, track, bw)
+    return _out(a.data - b.data, (a, b), bw)
 
 
 def mul(a, b) -> Tensor:
     a, b = _coerce_pair(a, b)
     _check_broadcast(a, b)
-    track = _track(a, b)
 
     def bw(g):
         accumulate_grad(a, _unbroadcast(g * b.data, a.shape))
         accumulate_grad(b, _unbroadcast(g * a.data, b.shape))
 
-    return _out(a.data * b.data, track, bw)
+    return _out(a.data * b.data, (a, b), bw)
 
 
 def relu6(x) -> Tensor:
@@ -297,19 +292,17 @@ def relu6(x) -> Tensor:
 
 def clamp(x, lo: float, hi: float) -> Tensor:
     x = _as_tensor(x)
-    track = _track(x)
     data = np.minimum(np.maximum(x.data, lo), hi)
 
     def bw(g):
         mask = (x.data > lo) & (x.data < hi)
         accumulate_grad(x, g * mask)
 
-    return _out(data, track, bw)
+    return _out(data, (x,), bw)
 
 
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
-    track = _track(x)
     d = x.data
     out_data = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
                         np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
@@ -318,39 +311,36 @@ def sigmoid(x) -> Tensor:
     def bw(g):
         accumulate_grad(x, g * out_data * (1.0 - out_data))
 
-    return _out(out_data, track, bw)
+    return _out(out_data, (x,), bw)
 
 
 def tanh(x) -> Tensor:
     x = _as_tensor(x)
-    track = _track(x)
     out_data = np.tanh(x.data)
 
     def bw(g):
         accumulate_grad(x, g * (1.0 - out_data * out_data))
 
-    return _out(out_data, track, bw)
+    return _out(out_data, (x,), bw)
 
 
 def exp(x) -> Tensor:
     x = _as_tensor(x)
-    track = _track(x)
     out_data = np.exp(x.data)
 
     def bw(g):
         accumulate_grad(x, g * out_data)
 
-    return _out(out_data, track, bw)
+    return _out(out_data, (x,), bw)
 
 
 def log(x) -> Tensor:
     x = _as_tensor(x)
-    track = _track(x)
 
     def bw(g):
         accumulate_grad(x, g / x.data)
 
-    return _out(np.log(x.data), track, bw)
+    return _out(np.log(x.data), (x,), bw)
 
 
 # -- linear algebra / reductions --------------------------------------------
@@ -369,13 +359,12 @@ def matmul(a, b) -> Tensor:
             f"matmul inner dims differ: last axis of a is {a.shape[-1]}, "
             f"second-to-last of b is {b.shape[-2]}"
         )
-    track = _track(a, b)
 
     def bw(g):
         accumulate_grad(a, g @ b.data.swapaxes(-1, -2))
         accumulate_grad(b, a.data.swapaxes(-1, -2) @ g)
 
-    return _out(a.data @ b.data, track, bw)
+    return _out(a.data @ b.data, (a, b), bw)
 
 
 def softmax(x, axis: int) -> Tensor:
@@ -383,7 +372,6 @@ def softmax(x, axis: int) -> Tensor:
     x = _as_tensor(x)
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"softmax axis {axis} out of range for shape {x.shape}")
-    track = _track(x)
     z = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
     out_data = e / e.sum(axis=axis, keepdims=True)
@@ -392,34 +380,31 @@ def softmax(x, axis: int) -> Tensor:
         dot = (g * out_data).sum(axis=axis, keepdims=True)
         accumulate_grad(x, out_data * (g - dot))
 
-    return _out(out_data, track, bw)
+    return _out(out_data, (x,), bw)
 
 
 def tsum(x) -> Tensor:
     x = _as_tensor(x)
-    track = _track(x)
 
     def bw(g):
         accumulate_grad(x, np.broadcast_to(g, x.shape))
 
-    return _out(np.asarray(x.data.sum()), track, bw)
+    return _out(np.asarray(x.data.sum()), (x,), bw)
 
 
 def mean(x) -> Tensor:
     x = _as_tensor(x)
-    track = _track(x)
     n = x.data.size
 
     def bw(g):
         accumulate_grad(x, np.broadcast_to(g / n, x.shape))
 
-    return _out(np.asarray(x.data.mean()), track, bw)
+    return _out(np.asarray(x.data.mean()), (x,), bw)
 
 
 def variance(x) -> Tensor:
     """Population variance (divide by N) over all entries."""
     x = _as_tensor(x)
-    track = _track(x)
     n = x.data.size
     m = x.data.mean()
     centered = x.data - m
@@ -427,30 +412,28 @@ def variance(x) -> Tensor:
     def bw(g):
         accumulate_grad(x, g * (2.0 / n) * centered)
 
-    return _out(np.asarray((centered * centered).mean(), dtype=x.data.dtype), track, bw)
+    return _out(np.asarray((centered * centered).mean(), dtype=x.data.dtype), (x,), bw)
 
 
 def reshape(x, shape) -> Tensor:
     x = _as_tensor(x)
     shape = tuple(shape)
-    track = _track(x)
 
     def bw(g):
         accumulate_grad(x, g.reshape(x.shape))
 
-    return _out(x.data.reshape(shape), track, bw)
+    return _out(x.data.reshape(shape), (x,), bw)
 
 
 def transpose(x, axes) -> Tensor:
     x = _as_tensor(x)
     axes = tuple(axes)
-    track = _track(x)
     inv = tuple(np.argsort(axes))
 
     def bw(g):
         accumulate_grad(x, g.transpose(inv))
 
-    return _out(x.data.transpose(axes), track, bw)
+    return _out(x.data.transpose(axes), (x,), bw)
 
 
 def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
@@ -464,7 +447,6 @@ def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
     for t in ts[1:]:
         if t.ndim != nd or any(i != axis and a != b for i, (a, b) in enumerate(zip(t.shape, ts[0].shape))):
             raise ShapeError(f"concat shapes {ts[0].shape} and {t.shape} differ off axis {axis}")
-    track = _track(*ts)
     sizes = [t.shape[axis] for t in ts]
     offsets = np.cumsum([0] + sizes)
 
@@ -474,7 +456,7 @@ def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
             idx[axis] = slice(lo, hi)
             accumulate_grad(t, g[tuple(idx)])
 
-    return _out(np.concatenate([t.data for t in ts], axis=axis), track, bw)
+    return _out(np.concatenate([t.data for t in ts], axis=axis), ts, bw)
 
 
 def split(x, parts: int, axis: int) -> list[Tensor]:
@@ -486,22 +468,23 @@ def split(x, parts: int, axis: int) -> list[Tensor]:
     length = x.shape[axis]
     if parts < 1 or length % parts != 0:
         raise ShapeError(f"split into {parts} parts does not divide axis {axis} of length {length}")
-    track = _track(x)
-    chunks = np.split(x.data, parts, axis=axis)
-    outs = tuple(Tensor._wrap(c, track) for c in chunks)
-    if track:
-        def bw(gs):
-            full = [g if g is not None else np.zeros_like(chunks[i]) for i, g in enumerate(gs)]
-            accumulate_grad(x, np.concatenate(full, axis=axis))
+    chunks = tuple(np.split(x.data, parts, axis=axis))
 
-        record_op(bw, outs)
-    return list(outs)
+    def bw(gs):
+        full = [g if g is not None else np.zeros_like(chunks[i]) for i, g in enumerate(gs)]
+        accumulate_grad(x, np.concatenate(full, axis=axis))
+
+    return list(_out(chunks, (x,), bw))
 
 
 # -- convolutions ------------------------------------------------------------
 
-def _conv_out_size(size: int, k: int, stride: int, padding: int) -> int:
-    return (size + 2 * padding - k) // stride + 1
+def _conv_out_hw(hw, k: int, stride: int, padding: int = 0, transposed: bool = False) -> tuple[int, int]:
+    """Output (H, W) of a k x k conv, or of an unpadded transposed conv, over ``hw``."""
+    h, w = hw
+    if transposed:
+        return (h - 1) * stride + k, (w - 1) * stride + k
+    return (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
 
 
 def _pad2d(x: np.ndarray, p: int) -> np.ndarray:
@@ -560,7 +543,7 @@ def _conv_node(out: np.ndarray, inputs, bias, relu6: bool, conv_bw) -> Tensor:
             accumulate_grad(bias, _unbroadcast(g, bias.shape))
         conv_bw(g)
 
-    return _out(out, _track(*inputs, bias), bw)
+    return _out(out, (*inputs, bias), bw)
 
 
 def conv2d(x, kernel, stride: int = 1, padding: int = 0, *, bias=None, relu6: bool = False) -> Tensor:
@@ -576,7 +559,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, *, bias=None, relu6: bo
         raise ShapeError(f"conv2d channel axis mismatch: input has {c} channels, kernel expects {c_in}")
     if stride < 1 or padding < 0:
         raise ShapeError(f"conv2d needs stride >= 1 and padding >= 0, got {stride}, {padding}")
-    ho, wo = _conv_out_size(h, k, stride, padding), _conv_out_size(w, k, stride, padding)
+    ho, wo = _conv_out_hw((h, w), k, stride, padding)
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv2d output would be empty for input {h}x{w}, k={k}, s={stride}, p={padding}")
 
@@ -606,7 +589,7 @@ def depthwise_conv2d(x, kernel_d, stride: int = 1, padding: int = 0, *, bias=Non
     ck, _, k, _ = kernel_d.shape
     if c != ck:
         raise ShapeError(f"depthwise channel axis mismatch: input has {c} channels, kernel has {ck}")
-    ho, wo = _conv_out_size(h, k, stride, padding), _conv_out_size(w, k, stride, padding)
+    ho, wo = _conv_out_hw((h, w), k, stride, padding)
 
     # a per-tap multiply-accumulate: a gathered (k*k)-fold copy of the expanded
     # activations would dominate memory at full resolution.  Backward pads again.
@@ -681,7 +664,7 @@ def conv_transpose2d(x, kernel, stride: int, *, bias=None) -> Tensor:
     c_in, c_out, k, _ = kernel.shape
     if c != c_in:
         raise ShapeError(f"conv_transpose2d channel axis mismatch: input has {c} channels, kernel expects {c_in}")
-    ho, wo = (h - 1) * stride + k, (w - 1) * stride + k
+    ho, wo = _conv_out_hw((h, w), k, stride, transposed=True)
 
     # (N,H,W,C_out,k,k) contributions scattered onto the strided output grid
     out_data = _scatter(np.zeros((n, c_out, ho, wo), dtype=x.data.dtype),

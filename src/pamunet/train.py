@@ -271,7 +271,7 @@ def train(model: PAMUNet, manifest: Manifest, cfg: TrainConfig,
         }
         result.history.append(row)
         if on_epoch is not None:
-            on_epoch(row)
+            on_epoch(model, row)
     result.velocities = opt.velocities
     return result
 
@@ -323,6 +323,5 @@ def run_training(config: PAMUNetConfig, manifest: Manifest, cfg: TrainConfig,
     """
     model = build(config, seed=cfg.seed, zero_init_gates=zero_init_gates)
     init_head_prior(model, manifest, cfg.batch_size)
-    hook = None if on_epoch is None else (lambda row: on_epoch(model, row))
-    result = train(model, manifest, cfg, on_epoch=hook)
+    result = train(model, manifest, cfg, on_epoch=on_epoch)
     return model, result

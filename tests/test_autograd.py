@@ -1,10 +1,13 @@
 """Backward-pass correctness: finite differences on every op, tape semantics."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from gradcheck import check_gradients
 from pamunet import tensor as T
+from pamunet.attention import scaled_dot_attention_streaming
 from pamunet.tensor import Tensor
 
 
@@ -50,11 +53,24 @@ def test_backward_off_tape_is_an_error():
         T.backward(loss)
 
 
-def test_no_grad_blocks_recording():
-    w = Tensor(np.ones(2), requires_grad=True)
-    with T.no_grad():
-        y = T.mul(w, w)
-    assert not y.requires_grad and y.node_id is None
+NO_GRAD_OPS = {
+    "mul": lambda q, k, v: [T.mul(q, k)],
+    "split": lambda q, k, v: T.split(q, 2, axis=1),
+    "streaming": lambda q, k, v: list(scaled_dot_attention_streaming(q, k, v, chunk=2)),
+}
+
+
+@pytest.mark.parametrize("op", NO_GRAD_OPS.values(), ids=NO_GRAD_OPS.keys())
+@pytest.mark.parametrize("under_no_grad", [True, False], ids=["no_grad", "no_input_requires_grad"])
+def test_no_grad_blocks_recording(op, under_no_grad):
+    rng = np.random.default_rng(0)
+    q, k, v = (Tensor(rng.standard_normal((1, 4, 2)), requires_grad=under_no_grad) for _ in range(3))
+    nodes = T._tls().tape.nodes
+    before = len(nodes)
+    with T.no_grad() if under_no_grad else contextlib.nullcontext():
+        outs = op(q, k, v)
+    assert len(nodes) == before
+    assert all(not o.requires_grad and o.node_id is None for o in outs)
 
 
 def test_grad_accumulates_across_reuse():

@@ -1,5 +1,6 @@
 """Layer-level tests: DSConv, inverted residual, up block, init determinism."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from gradcheck import check_gradients
 from pamunet import tensor as T
-from pamunet.blocks import (Conv2d, ConvTranspose2d, DSConvLayer, IRBlock, UpBlock,
-                            init_parameters, param_rng)
+from pamunet.blocks import (Conv2d, ConvTranspose2d, DepthwiseConv, DSConvLayer, IRBlock,
+                            PointwiseConv, UpBlock, init_parameters, param_rng)
 from pamunet.tensor import ShapeError, Tensor
 
 
@@ -108,13 +109,22 @@ def test_upblock_matches_composition():
 def test_static_shapes_match_forward():
     for layer, c_in, hw in [
         (Conv2d(3, 5, 3, stride=2, padding=1), 3, (9, 11)),
+        (PointwiseConv(4, 6), 4, (5, 3)),
+        (DepthwiseConv(4, stride=2), 4, (9, 6)),
         (DSConvLayer(4, 6, stride=2), 4, (10, 10)),
         (IRBlock(4, 7, stride=2), 4, (12, 8)),
         (ConvTranspose2d(4, 2), 4, (5, 7)),
+        (ConvTranspose2d(4, 1, k=1, stride=1), 4, (6, 5)),  # the head
     ]:
         init_parameters(layer, 9)
-        out = layer(Tensor(np.zeros((1, c_in) + hw)))
+        x = Tensor(np.zeros((1, c_in) + hw))
+        out = layer(x)
         assert out.shape[2:] == layer.out_hw(hw)
+        # perfbench's op-side rule: one kernel slice per output element, or
+        # per input element for a transposed conv
+        if isinstance(layer, (Conv2d, PointwiseConv, DepthwiseConv, ConvTranspose2d)):
+            slid = x if isinstance(layer, ConvTranspose2d) else out
+            assert layer.macs(hw) == slid.size * math.prod(layer.kernel.shape[1:])
 
 
 def test_dsconv_to_vanilla_mac_ratio_is_exact():

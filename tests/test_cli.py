@@ -154,6 +154,8 @@ def test_flops_rejects_bad_config(flag, value, match, capsys):
 @pytest.mark.parametrize("command,config,key", [
     ("flops", {"levels": "3"}, "levels"),
     ("flops", {"input_size": "64"}, "input_size"),
+    ("flops", {"input_size": [32, 32, 32]}, "input_size"),
+    ("flops", {"input_size": []}, "input_size"),
     ("train", {"lr": "0.1"}, "lr"),
     ("flops", {"channel_schedule": ["3", 5]}, "channel_schedule"),
 ])

@@ -152,6 +152,14 @@ def test_manifest_roundtrip_and_loading(tmp_path):
     assert set(np.unique(sample.mask.data)) <= {0.0, 1.0}
 
 
+@pytest.mark.parametrize("split", ["trian", "Test"])
+def test_manifest_rejects_unknown_split(tmp_path, split):
+    path = tmp_path / "manifest.tsv"
+    path.write_text(f"a\ta.pgm\ta_mask.pgm\ttrain\nb\tb.pgm\tb_mask.pgm\t{split}\n")
+    with pytest.raises(D.FormatError, match=f"line 2 has split {split!r}"):
+        D.Manifest.load(path)
+
+
 def test_manifest_rejects_duplicate_ids():
     e = D.ManifestEntry("x", "a.pgm", "b.pgm", "train")
     with pytest.raises(D.FormatError, match="duplicate"):

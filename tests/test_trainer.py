@@ -157,6 +157,7 @@ def test_checkpoint_with_legacy_lambda_reg_key_loads(tmp_path):
     (None, lambda b: b + b"\0" * 4, "unexpected bytes"),
     (lambda h: h["params"][0][1].append(1), None, "do not match"),
     (lambda h: h["config"].update(levels="2"), None, "'levels'"),
+    (lambda h: h["config"].update(input_size=[16, 16, 16]), None, "'input_size'"),
     (None, lambda b: struct.pack("<f", np.nan) + b[4:], "parameter stem.kernel holds non-finite"),
     (None, lambda b: b[:-4] + struct.pack("<f", np.inf), "velocity head.bias holds non-finite"),
 ])
