@@ -2,7 +2,8 @@
 
 Every conv layer and IR block knows three things: how to run forward on a
 Tensor, what spatial size it produces for a given input size (without
-running), and how many multiply-accumulates that forward costs.  The static
+running), and how many multiply-accumulates that forward costs.  Every conv
+layer, ``DSConvLayer`` included, takes both rules from ``_Conv``; the static
 shape/MAC methods back the FLOPs counter and the shape-total tests.  The
 decoder up blocks are pairs of such layers with one FLOPs row per fuse.
 
@@ -62,16 +63,18 @@ def _zeros(*shape) -> Tensor:
 
 
 class _Conv(Module):
-    """Owns a conv layer's kernel and (C_out,1,1) bias, in that order, its output
-    size and its MACs: one per kernel weight per position of the grid the kernel
-    slides over, the output grid or, for a transposed conv, the input grid."""
+    """Owns a conv layer's kernels, named and shaped by ``kernels`` and registered
+    in that order, then its (C_out,1,1) bias; its output size; and its MACs: one
+    per kernel weight per position of the grid the kernels slide over, the output
+    grid or, for a transposed conv, the input grid."""
 
     _transposed = False
 
-    def __init__(self, kernel_shape, c_bias: int, k: int = 1, stride: int = 1, padding: int = 0):
+    def __init__(self, c_bias: int, k: int = 1, stride: int = 1, padding: int = 0, **kernels):
         super().__init__()
         self.k, self.stride, self.padding = k, stride, padding
-        self.kernel = _zeros(*kernel_shape)
+        for name, shape in kernels.items():
+            setattr(self, name, _zeros(*shape))
         self.bias = _zeros(c_bias, 1, 1)
 
     def out_hw(self, hw):
@@ -79,14 +82,14 @@ class _Conv(Module):
 
     def macs(self, hw) -> int:
         h, w = hw if self._transposed else self.out_hw(hw)
-        return self.kernel.size * h * w
+        return (self.parameter_count() - self.bias.size) * h * w
 
 
 class Conv2d(_Conv):
     """Vanilla convolution + bias + ReLU6."""
 
     def __init__(self, c_in: int, c_out: int, k: int, stride: int = 1, padding: int = 0):
-        super().__init__((c_out, c_in, k, k), c_out, k, stride, padding)
+        super().__init__(c_out, k, stride, padding, kernel=(c_out, c_in, k, k))
 
     def forward(self, x):
         return T.conv2d(x, self.kernel, self.stride, self.padding, bias=self.bias, relu6=True)
@@ -96,7 +99,7 @@ class PointwiseConv(_Conv):
     """1x1 conv: per-pixel linear map across channels."""
 
     def __init__(self, c_in: int, c_out: int, relu6: bool = False):
-        super().__init__((c_out, c_in, 1, 1), c_out)
+        super().__init__(c_out, kernel=(c_out, c_in, 1, 1))
         self.c_in, self.c_out, self.relu6 = c_in, c_out, relu6
 
     def forward(self, x):
@@ -107,45 +110,34 @@ class DepthwiseConv(_Conv):
     """Per-channel convolution + bias + ReLU6."""
 
     def __init__(self, channels: int, k: int = 3, stride: int = 1, padding: int = 1):
-        super().__init__((channels, 1, k, k), channels, k, stride, padding)
+        super().__init__(channels, k, stride, padding, kernel=(channels, 1, k, k))
 
     def forward(self, x):
         return T.depthwise_conv2d(x, self.kernel, self.stride, self.padding, bias=self.bias, relu6=True)
 
 
 class ConvTranspose2d(_Conv):
+    """Transposed conv with stride == k: one k x k output tile per input pixel."""
+
     _transposed = True
 
     def __init__(self, c_in: int, c_out: int, k: int = 2, stride: int = 2):
-        super().__init__((c_in, c_out, k, k), c_out, k, stride)
+        super().__init__(c_out, k, stride, kernel=(c_in, c_out, k, k))
 
     def forward(self, x):
         return T.conv_transpose2d(x, self.kernel, self.stride, bias=self.bias)
 
 
-class DSConvLayer(Module):
-    """Depthwise filter per channel followed by a pointwise channel mix."""
+class DSConvLayer(_Conv):
+    """Depthwise filter per channel followed by a pointwise channel mix and the bias."""
 
     def __init__(self, c_in: int, c_out: int, k: int = 3, stride: int = 1, padding: int = 1):
-        super().__init__()
-        self.c_in, self.c_out, self.k = c_in, c_out, k
-        self.stride, self.padding = stride, padding
-        self.kernel_d = _zeros(c_in, 1, k, k)
-        self.kernel_p = _zeros(c_out, c_in, 1, 1)
-        self.bias = _zeros(c_out, 1, 1)
+        super().__init__(c_out, k, stride, padding,
+                         kernel_d=(c_in, 1, k, k), kernel_p=(c_out, c_in, 1, 1))
 
     def forward(self, x):
-        if x.shape[1] != self.c_in:
-            raise ShapeError(f"DSConvLayer expects {self.c_in} channels, got {x.shape[1]}")
         h = T.depthwise_conv2d(x, self.kernel_d, self.stride, self.padding)
         return T.pointwise_conv2d(h, self.kernel_p, bias=self.bias)
-
-    def out_hw(self, hw):
-        return T._conv_out_hw(hw, self.k, self.stride, self.padding)
-
-    def macs(self, hw) -> int:
-        ho, wo = self.out_hw(hw)
-        return self.k * self.k * self.c_in * ho * wo + self.c_in * self.c_out * ho * wo
 
 
 class IRBlock(Module):

@@ -1,8 +1,9 @@
 """Analytic per-layer MAC/FLOPs accounting.
 
-MAC model: a conv layer costs kernel.size MACs per position of the grid its
-kernel slides over: the output grid, or the input grid for a transposed conv
-(so depthwise is k^2*C*Ho*Wo).  Attention costs Lq*Lk*d per Q.K^T and per W.V.
+MAC model: a conv layer costs one MAC per kernel weight per position of the
+grid its kernels slide over: the output grid, or the input grid for a
+transposed conv (so depthwise is k^2*C*Ho*Wo, and a DSConvLayer's two kernels
+both count at its output grid).  Attention costs Lq*Lk*d per Q.K^T and W.V.
 Elementwise work (bias adds, activations, softmax normalization) is excluded.
 Convention: 1 MAC = 2 FLOPs.
 """

@@ -223,11 +223,6 @@ class PAMUNet(Module):
         grab("head", logits)
         return ForwardResult(logits, gate_maps, acts, weight_maps)
 
-    def activation_names(self) -> list[str]:
-        levels = self._config.levels
-        return ([f"enc{i}" for i in range(levels)] + ["bottleneck"]
-                + [f"dec{j}" for j in range(levels)] + ["head"])
-
     def mac_sites(self):
         """Yield (layer name, kind, MAC count) for every multiply-bearing site,
         walking the same structure as forward at the configured input size."""

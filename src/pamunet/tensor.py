@@ -6,7 +6,9 @@ thread-local tape; ``backward(loss)`` replays the tape in reverse, accumulates
 gradients into every ``requires_grad`` tensor reachable from the loss, and
 then drops the tape.  There is no support for higher-order gradients.
 
-The default dtype is float32; gradient-check code switches to float64 with
+The four conv ops share one operand check (``_conv_operands``); the transposed
+conv takes only stride == k, so its k x k output tiles never overlap.  The
+default dtype is float32; gradient-check code switches to float64 with
 ``using_dtype(np.float64)``.
 """
 
@@ -87,14 +89,13 @@ def no_grad():
 class Tensor:
     """Numeric array plus optional gradient slot and tape handle."""
 
-    __slots__ = ("data", "requires_grad", "grad", "node_id", "_gen")
+    __slots__ = ("data", "requires_grad", "grad", "_gen")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype or default_dtype())
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self.node_id: int | None = None
-        self._gen: int = -1
+        self._gen: int = -1  # generation of the tape that recorded it; -1 until recorded
 
     @classmethod
     def _wrap(cls, data: np.ndarray, requires_grad: bool) -> "Tensor":
@@ -102,7 +103,6 @@ class Tensor:
         t.data = data
         t.requires_grad = requires_grad
         t.grad = None
-        t.node_id = None
         t._gen = -1
         return t
 
@@ -152,9 +152,7 @@ def record_op(backward_fn, outputs: Sequence[Tensor]) -> None:
     st = _tls()
     tape = st.tape
     tape.nodes.append((tuple(outputs), backward_fn))
-    nid = len(tape.nodes) - 1
     for o in outputs:
-        o.node_id = nid
         o._gen = tape.generation
 
 
@@ -191,7 +189,7 @@ def backward(loss: Tensor) -> None:
         raise GradError(f"backward needs a scalar loss, got shape {loss.shape}")
     st = _tls()
     tape = st.tape
-    if loss.node_id is None or loss._gen != tape.generation:
+    if loss._gen != tape.generation:
         raise GradError("loss is not attached to a live tape (tape already consumed, or recording was off)")
     loss.grad = np.ones_like(loss.data)
     for outputs, fn in reversed(tape.nodes):
@@ -480,10 +478,10 @@ def split(x, parts: int, axis: int) -> list[Tensor]:
 # -- convolutions ------------------------------------------------------------
 
 def _conv_out_hw(hw, k: int, stride: int, padding: int = 0, transposed: bool = False) -> tuple[int, int]:
-    """Output (H, W) of a k x k conv, or of an unpadded transposed conv, over ``hw``."""
+    """Output (H, W) of a k x k conv, or of a stride-k transposed conv, over ``hw``."""
     h, w = hw
     if transposed:
-        return (h - 1) * stride + k, (w - 1) * stride + k
+        return h * stride, w * stride
     return (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
 
 
@@ -546,22 +544,34 @@ def _conv_node(out: np.ndarray, inputs, bias, relu6: bool, conv_bw) -> Tensor:
     return _out(out, (*inputs, bias), bw)
 
 
-def conv2d(x, kernel, stride: int = 1, padding: int = 0, *, bias=None, relu6: bool = False) -> Tensor:
-    """Vanilla 2-D convolution (cross-correlation) with zero padding."""
+def _conv_operands(op: str, x, kernel, layout: str, c_axis: int, stride: int, padding: int,
+                   transposed: bool = False):
+    """Wrap a conv op's input and kernel and check what every conv op needs: a
+    rank-4 input, a rank-4 ``layout`` kernel with square taps, input channels equal
+    to kernel axis ``c_axis``, stride >= 1, padding >= 0 and a non-empty output.
+    Returns the two tensors and the output (H, W)."""
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.ndim != 4:
-        raise ShapeError(f"conv2d input must be (N,C,H,W), got {x.shape}")
+        raise ShapeError(f"{op} input must be (N,C,H,W), got {x.shape}")
     if kernel.ndim != 4 or kernel.shape[2] != kernel.shape[3]:
-        raise ShapeError(f"conv2d kernel must be (C_out,C_in,k,k), got {kernel.shape}")
-    n, c, h, w = x.shape
-    c_out, c_in, k, _ = kernel.shape
-    if c != c_in:
-        raise ShapeError(f"conv2d channel axis mismatch: input has {c} channels, kernel expects {c_in}")
+        raise ShapeError(f"{op} kernel must be {layout}, got {kernel.shape}")
+    c, ck = x.shape[1], kernel.shape[c_axis]
+    if c != ck:
+        raise ShapeError(f"{op} channel axis mismatch: input has {c} channels, kernel expects {ck}")
     if stride < 1 or padding < 0:
-        raise ShapeError(f"conv2d needs stride >= 1 and padding >= 0, got {stride}, {padding}")
-    ho, wo = _conv_out_hw((h, w), k, stride, padding)
+        raise ShapeError(f"{op} needs stride >= 1 and padding >= 0, got {stride}, {padding}")
+    ho, wo = _conv_out_hw(x.shape[2:], kernel.shape[2], stride, padding, transposed)
     if ho < 1 or wo < 1:
-        raise ShapeError(f"conv2d output would be empty for input {h}x{w}, k={k}, s={stride}, p={padding}")
+        raise ShapeError(f"{op} output would be empty: input {x.shape}, kernel {kernel.shape}, "
+                         f"s={stride}, p={padding}")
+    return x, kernel, ho, wo
+
+
+def conv2d(x, kernel, stride: int = 1, padding: int = 0, *, bias=None, relu6: bool = False) -> Tensor:
+    """Vanilla 2-D convolution (cross-correlation) with zero padding."""
+    x, kernel, ho, wo = _conv_operands("conv2d", x, kernel, "(C_out,C_in,k,k)", 1, stride, padding)
+    n, c, h, w = x.shape
+    c_out, _, k, _ = kernel.shape
 
     xp = _pad2d(x.data, padding)
     cols = _gather(xp, k, stride, ho, wo).reshape(n, ho * wo, c * k * k)
@@ -580,16 +590,11 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, *, bias=None, relu6: bo
 
 def depthwise_conv2d(x, kernel_d, stride: int = 1, padding: int = 0, *, bias=None, relu6: bool = False) -> Tensor:
     """Per-channel spatial convolution: channel c sees only kernel_d[c]."""
-    x, kernel_d = _as_tensor(x), _as_tensor(kernel_d)
-    if x.ndim != 4:
-        raise ShapeError(f"depthwise_conv2d input must be (N,C,H,W), got {x.shape}")
-    if kernel_d.ndim != 4 or kernel_d.shape[1] != 1:
-        raise ShapeError(f"depthwise kernel must be (C,1,k,k), got {kernel_d.shape}")
+    x, kernel_d, ho, wo = _conv_operands("depthwise_conv2d", x, kernel_d, "(C,1,k,k)", 0, stride, padding)
+    if kernel_d.shape[1] != 1:
+        raise ShapeError(f"depthwise_conv2d kernel must be (C,1,k,k), got {kernel_d.shape}")
     n, c, h, w = x.shape
-    ck, _, k, _ = kernel_d.shape
-    if c != ck:
-        raise ShapeError(f"depthwise channel axis mismatch: input has {c} channels, kernel has {ck}")
-    ho, wo = _conv_out_hw((h, w), k, stride, padding)
+    k = kernel_d.shape[2]
 
     # a per-tap multiply-accumulate: a gathered (k*k)-fold copy of the expanded
     # activations would dominate memory at full resolution.  Backward pads again.
@@ -625,15 +630,11 @@ def depthwise_conv2d(x, kernel_d, stride: int = 1, padding: int = 0, *, bias=Non
 
 def pointwise_conv2d(x, kernel_p, *, bias=None, relu6: bool = False) -> Tensor:
     """1x1 convolution: a per-pixel linear map across channels."""
-    x, kernel_p = _as_tensor(x), _as_tensor(kernel_p)
-    if x.ndim != 4:
-        raise ShapeError(f"pointwise_conv2d input must be (N,C,H,W), got {x.shape}")
-    if kernel_p.ndim != 4 or kernel_p.shape[2:] != (1, 1):
-        raise ShapeError(f"pointwise kernel must be (C_out,C_in,1,1), got {kernel_p.shape}")
-    n, c, h, w = x.shape
-    c_out, c_in = kernel_p.shape[:2]
-    if c != c_in:
-        raise ShapeError(f"pointwise channel axis mismatch: input has {c} channels, kernel expects {c_in}")
+    x, kernel_p, h, w = _conv_operands("pointwise_conv2d", x, kernel_p, "(C_out,C_in,1,1)", 1, 1, 0)
+    if kernel_p.shape[2] != 1:
+        raise ShapeError(f"pointwise_conv2d kernel must be (C_out,C_in,1,1), got {kernel_p.shape}")
+    n, c = x.shape[:2]
+    c_out = kernel_p.shape[0]
     m = kernel_p.data[:, :, 0, 0]
     # one (C_out,C_in) @ (C_in,H*W) product per sample, straight into the output
     out_data = np.empty((n, c_out, h, w), dtype=np.result_type(x.data, m))
@@ -652,23 +653,18 @@ def pointwise_conv2d(x, kernel_p, *, bias=None, relu6: bool = False) -> Tensor:
 
 
 def conv_transpose2d(x, kernel, stride: int, *, bias=None) -> Tensor:
-    """Transposed convolution; output spatial size (H-1)*stride + k."""
-    x, kernel = _as_tensor(x), _as_tensor(kernel)
-    if x.ndim != 4:
-        raise ShapeError(f"conv_transpose2d input must be (N,C,H,W), got {x.shape}")
-    if kernel.ndim != 4 or kernel.shape[2] != kernel.shape[3]:
-        raise ShapeError(f"conv_transpose2d kernel must be (C_in,C_out,k,k), got {kernel.shape}")
-    if stride not in (1, 2):
-        raise ShapeError(f"conv_transpose2d supports stride 1 or 2, got {stride}")
-    n, c, h, w = x.shape
-    c_in, c_out, k, _ = kernel.shape
-    if c != c_in:
-        raise ShapeError(f"conv_transpose2d channel axis mismatch: input has {c} channels, kernel expects {c_in}")
-    ho, wo = _conv_out_hw((h, w), k, stride, transposed=True)
+    """Transposed convolution with stride == k: every input pixel becomes one
+    k x k output tile, so tiles never overlap and the output is (H*k, W*k)."""
+    x, kernel, ho, wo = _conv_operands("conv_transpose2d", x, kernel, "(C_in,C_out,k,k)", 0, stride, 0,
+                                       transposed=True)
+    n, _, h, w = x.shape
+    c_out, k = kernel.shape[1:3]
+    if stride != k:
+        raise ShapeError(f"conv_transpose2d needs stride == k (non-overlapping tiles), got stride {stride}, k={k}")
 
-    # (N,H,W,C_out,k,k) contributions scattered onto the strided output grid
-    out_data = _scatter(np.zeros((n, c_out, ho, wo), dtype=x.data.dtype),
-                        np.tensordot(x.data, kernel.data, axes=([1], [0])), stride)
+    # (N,H,W,C_out,k,k) tiles laid side by side: (N,C_out,H,k,W,k)
+    out_data = np.tensordot(x.data, kernel.data, axes=([1], [0])).transpose(0, 3, 1, 4, 2, 5)
+    out_data = out_data.reshape(n, c_out, ho, wo)
 
     def bw(g):
         gwin = _gather(g, k, stride, h, w)

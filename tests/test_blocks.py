@@ -112,6 +112,7 @@ def test_static_shapes_match_forward():
         (PointwiseConv(4, 6), 4, (5, 3)),
         (DepthwiseConv(4, stride=2), 4, (9, 6)),
         (DSConvLayer(4, 6, stride=2), 4, (10, 10)),
+        (DSConvLayer(3, 5, k=3, stride=2, padding=1), 3, (9, 7)),
         (IRBlock(4, 7, stride=2), 4, (12, 8)),
         (ConvTranspose2d(4, 2), 4, (5, 7)),
         (ConvTranspose2d(4, 1, k=1, stride=1), 4, (6, 5)),  # the head
@@ -122,7 +123,10 @@ def test_static_shapes_match_forward():
         assert out.shape[2:] == layer.out_hw(hw)
         # perfbench's op-side rule: one kernel slice per output element, or
         # per input element for a transposed conv
-        if isinstance(layer, (Conv2d, PointwiseConv, DepthwiseConv, ConvTranspose2d)):
+        if isinstance(layer, DSConvLayer):
+            mid = T.depthwise_conv2d(x, layer.kernel_d, layer.stride, layer.padding)
+            assert layer.macs(hw) == mid.size * layer.k ** 2 + out.size * c_in
+        elif not isinstance(layer, IRBlock):
             slid = x if isinstance(layer, ConvTranspose2d) else out
             assert layer.macs(hw) == slid.size * math.prod(layer.kernel.shape[1:])
 

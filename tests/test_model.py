@@ -74,7 +74,9 @@ def test_capture_yields_two_levels_plus_two_activations(levels, size):
     model = build(cfg, seed=3)
     with T.no_grad():
         out = model.forward(Tensor(np.random.default_rng(3).random((2, 1, size, size))), capture=True)
-    assert list(out.activations) == model.activation_names()
+    names = ([f"enc{i}" for i in range(levels)] + ["bottleneck"]
+             + [f"dec{j}" for j in range(levels)] + ["head"])
+    assert list(out.activations) == names  # the capture keys of model.py's naming contract
     assert len(out.activations) == 2 * levels + 2
 
 

@@ -163,9 +163,31 @@ def test_conv_transpose_matches_adjoint_oracle():
     np.testing.assert_allclose(out.data, ref, atol=1e-10)
 
 
-def test_conv_transpose_rejects_stride_3():
-    with pytest.raises(T.ShapeError, match="stride"):
-        T.conv_transpose2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 2, 2))), stride=3)
+def _depthwise(kernel_shape, stride, padding):
+    return lambda: T.depthwise_conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros(kernel_shape)),
+                                      stride, padding)
+
+
+def _transpose(k, stride):
+    return lambda: T.conv_transpose2d(Tensor(np.zeros((1, 2, 3, 3))), Tensor(np.zeros((2, 1, k, k))), stride)
+
+
+@pytest.mark.parametrize("op,call", [
+    ("depthwise_conv2d", _depthwise((2, 1, 3, 3), 0, 1)),
+    ("depthwise_conv2d", _depthwise((2, 1, 1, 1), 1, -1)),
+    ("depthwise_conv2d", _depthwise((2, 1, 3, 2), 1, 1)),
+    ("depthwise_conv2d", _depthwise((2, 1, 7, 7), 1, 0)),
+    ("depthwise_conv2d", _depthwise((2, 2, 3, 3), 1, 1)),
+    ("pointwise_conv2d", lambda: T.pointwise_conv2d(Tensor(np.zeros((1, 2, 4, 4))),
+                                                    Tensor(np.zeros((3, 2, 3, 3))))),
+    ("conv_transpose2d", _transpose(2, 1)),
+    ("conv_transpose2d", _transpose(3, 2)),
+    ("conv_transpose2d", _transpose(2, 3)),
+], ids=["dw-stride-0", "dw-padding-neg", "dw-non-square", "dw-empty-output", "dw-layout",
+        "pw-not-1x1", "tconv-k2-s1", "tconv-k3-s2", "tconv-k2-s3"])
+def test_conv_operand_contract(op, call):
+    with pytest.raises(T.ShapeError, match=op):
+        call()
 
 
 def test_sigmoid_at_zero():
