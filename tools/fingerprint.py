@@ -42,7 +42,7 @@ PAPER = ["--epochs", "1", "--batch-size", "2"]
 
 def _cli(argv) -> None:
     """Run one ``pamunet`` command quietly; raise with its output if it fails."""
-    from pamunet import cli
+    from pamunet import cli  # here, so that BLAS threads are pinned before numpy loads
 
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
