@@ -27,8 +27,8 @@ recomputes weights in backward and returns a streamed variance instead, so a
 sample takes the same path at every batch size.  The additive gate always
 materializes and refuses grids above ``MATERIALIZE_LIMIT`` positions.  A caller
 that passes a ``maps`` list gets every gate's (N, Lq, Lk) map appended to it,
-streamed or not; no gate keeps a map after its forward.  Every gate yields its
-own FLOPs rows through ``mac_sites``.
+streamed or not; no gate keeps a map after its forward.  The projection gates
+share one FLOPs rule, ``_GateBase.mac_sites``; ``PLAGate`` yields its own rows.
 """
 
 from __future__ import annotations
@@ -53,12 +53,6 @@ def to_sequence(x: Tensor) -> Tensor:
     return T.transpose(T.reshape(x, (n, c, h * w)), (0, 2, 1))
 
 
-def to_image(x: Tensor, h: int, w: int) -> Tensor:
-    """(N, H*W, C) -> (N,C,H,W)."""
-    n, hw, c = x.shape
-    return T.reshape(T.transpose(x, (0, 2, 1)), (n, c, h, w))
-
-
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor):
     """softmax(Q K^T / sqrt(d)) V with the full weight map on the tape.
 
@@ -79,26 +73,28 @@ def scaled_dot_attention_streaming(q: Tensor, k: Tensor, v: Tensor, chunk: int =
     regularizer stays available without the map.  A ``weights`` array of
     shape (N, Lq, Lk) receives each normalized block as it is computed.
     """
-    d = q.shape[-1]
+    n, lq, d = q.shape
     scale = 1.0 / math.sqrt(d)
-    n, lq, _ = q.shape
     lk = k.shape[1]
     qd, kd, vd = q.data, k.data, v.data
-    kt = kd.swapaxes(1, 2)
+
+    def weight_block(lo):
+        """Softmax weights of query rows lo:lo + chunk, normalized over the keys."""
+        s = (qd[:, lo:lo + chunk] @ kd.swapaxes(1, 2)) * scale
+        s -= s.max(axis=2, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=2, keepdims=True)
+        return s
 
     out_data = np.empty((n, lq, vd.shape[-1]), dtype=qd.dtype)
     total = n * lq * lk
     w_sum = 0.0
     w_sumsq = 0.0
     for lo in range(0, lq, chunk):
-        hi = min(lo + chunk, lq)
-        s = (qd[:, lo:hi] @ kt) * scale
-        s -= s.max(axis=2, keepdims=True)
-        np.exp(s, out=s)
-        s /= s.sum(axis=2, keepdims=True)
+        s = weight_block(lo)
         if weights is not None:
-            weights[:, lo:hi] = s
-        out_data[:, lo:hi] = s @ vd
+            weights[:, lo:lo + chunk] = s
+        out_data[:, lo:lo + chunk] = s @ vd
         w_sum += float(s.sum(dtype=np.float64))
         w_sumsq += float((s * s).sum(dtype=np.float64))
     w_mean = w_sum / total
@@ -111,23 +107,19 @@ def scaled_dot_attention_streaming(q: Tensor, k: Tensor, v: Tensor, chunk: int =
         gk = np.zeros(kd.shape, kd.dtype) if k.requires_grad else None
         gv = np.zeros(vd.shape, vd.dtype) if v.requires_grad else None
         for lo in range(0, lq, chunk):
-            hi = min(lo + chunk, lq)
-            s = (qd[:, lo:hi] @ kt) * scale
-            s -= s.max(axis=2, keepdims=True)
-            np.exp(s, out=s)
-            s /= s.sum(axis=2, keepdims=True)  # s is now the weight block
+            s = weight_block(lo)
             gw = np.zeros_like(s)
             if g_out is not None:
-                gw += g_out[:, lo:hi] @ vd.swapaxes(1, 2)
+                gw += g_out[:, lo:lo + chunk] @ vd.swapaxes(1, 2)
             if g_var is not None:
                 gw += g_var * (2.0 / total) * (s - w_mean)
             gs_block = s * (gw - (gw * s).sum(axis=2, keepdims=True))
             if gq is not None:
-                gq[:, lo:hi] = (gs_block @ kd) * scale
+                gq[:, lo:lo + chunk] = (gs_block @ kd) * scale
             if gk is not None:
-                gk += (gs_block.swapaxes(1, 2) @ qd[:, lo:hi]) * scale
+                gk += (gs_block.swapaxes(1, 2) @ qd[:, lo:lo + chunk]) * scale
             if gv is not None and g_out is not None:
-                gv += s.swapaxes(1, 2) @ g_out[:, lo:hi]
+                gv += s.swapaxes(1, 2) @ g_out[:, lo:lo + chunk]
         if gq is not None:
             accumulate_grad(q, gq)
         if gk is not None:
@@ -150,20 +142,21 @@ def additive_scores(qp: Tensor, kp: Tensor, vvec: Tensor, chunk: int = 256) -> T
         raise ShapeError(f"additive scorer dims disagree: qp {qp.shape}, kp {kp.shape}, v {vvec.shape}")
     qd, kd, vd = qp.data, kp.data, vvec.data
 
+    def tanh_block(lo):
+        """tanh(qp + kp) for query rows lo:lo + chunk against every key: (N, chunk, Lk, d)."""
+        return np.tanh(qd[:, lo:lo + chunk, None, :] + kd[:, None, :, :])
+
     out_data = np.empty((n, lq, lk), dtype=qd.dtype)
     for lo in range(0, lq, chunk):
-        hi = min(lo + chunk, lq)
-        t = np.tanh(qd[:, lo:hi, None, :] + kd[:, None, :, :])
-        out_data[:, lo:hi] = t @ vd
+        out_data[:, lo:lo + chunk] = tanh_block(lo) @ vd
 
     def bw(g):
         gq = np.zeros_like(qd) if qp.requires_grad else None
         gk = np.zeros_like(kd) if kp.requires_grad else None
         gv = np.zeros_like(vd) if vvec.requires_grad else None
         for lo in range(0, lq, chunk):
-            hi = min(lo + chunk, lq)
-            t = np.tanh(qd[:, lo:hi, None, :] + kd[:, None, :, :])
-            gc = g[:, lo:hi]
+            t = tanh_block(lo)
+            gc = g[:, lo:lo + chunk]
             if gv is not None:
                 gv += np.einsum("nij,nijd->d", gc, t, optimize=True)
             # reuse t in place: t <- gc * v * (1 - t^2)
@@ -172,7 +165,7 @@ def additive_scores(qp: Tensor, kp: Tensor, vvec: Tensor, chunk: int = 256) -> T
             t *= vd
             t *= gc[..., None]
             if gq is not None:
-                gq[:, lo:hi] = t.sum(axis=2)
+                gq[:, lo:lo + chunk] = t.sum(axis=2)
             if gk is not None:
                 gk += t.sum(axis=1)
         if gq is not None:
@@ -191,19 +184,19 @@ def _scalar_param() -> Tensor:
     return Tensor(np.zeros(()), requires_grad=True)
 
 
-def _scores_site(prefix: str, up_hw, d_score: int, d_value: int):
+def _scores_site(prefix: str, up_hw, c: int):
     """MAC row of one attention map over an ``up_hw`` grid on both sides:
-    Lq*Lk*d_score for the scores plus Lq*Lk*d_value for weights @ values."""
+    Lq*Lk*c for the scores plus Lq*Lk*c for weights @ values."""
     l = up_hw[0] * up_hw[1]
-    return f"{prefix}.scores", "attention", l * l * d_score + l * l * d_value
+    return f"{prefix}.scores", "attention", 2 * l * l * c
 
 
 class _GateBase(Module):
     """Grid check, dot attention and merge shared by all gate variants.
 
-    Each gate also yields its own FLOPs rows through
-    ``mac_sites(prefix, low_hw, up_hw)``, where ``low_hw`` is the grid of the
-    lower decoder feature and ``up_hw`` the upsampled grid the gate attends on.
+    A gate yields its FLOPs rows through ``mac_sites(prefix, low_hw, up_hw)``,
+    where ``low_hw`` is the grid of the lower decoder feature and ``up_hw`` the
+    upsampled grid the gate attends on; the projection gates use this class's.
     """
 
     def _check_grids(self, x: Tensor, skip: Tensor) -> None:
@@ -229,9 +222,15 @@ class _GateBase(Module):
         return attended, entry
 
     def _merge(self, x: Tensor, attended: Tensor) -> Tensor:
-        """x + gain * attended, with the attended sequence laid out on x's grid."""
-        h, w = x.shape[2:]
-        return T.add(x, T.mul(self.gain, to_image(attended, h, w)))
+        """x + gain * attended, the (N, H*W, C) sequence laid out on x's grid."""
+        image = T.reshape(T.transpose(attended, (0, 2, 1)), x.shape)
+        return T.add(x, T.mul(self.gain, image))
+
+    def mac_sites(self, prefix: str, low_hw, up_hw):
+        """One pointwise row per 1x1 projection child on ``up_hw``, in order, then scores."""
+        for name, proj in self._children.items():
+            yield f"{prefix}.{name}", "pointwise", proj.macs(up_hw)
+        yield _scores_site(prefix, up_hw, self.v_proj.c_out)
 
 
 class PLAGate(_GateBase):
@@ -255,11 +254,10 @@ class PLAGate(_GateBase):
         return self._merge(x, attended), reg_entry
 
     def mac_sites(self, prefix: str, low_hw, up_hw):
-        c = self.kv.c_in
         yield f"{prefix}.refine", "irblock", self.refine.macs(low_hw)
         yield f"{prefix}.upsample", "conv_transpose", self.upsample.macs(low_hw)
         yield f"{prefix}.kv", "pointwise", self.kv.macs(up_hw)
-        yield _scores_site(prefix, up_hw, c, c)
+        yield _scores_site(prefix, up_hw, self.kv.c_in)
 
 
 class DotAttentionGate(_GateBase):
@@ -281,13 +279,6 @@ class DotAttentionGate(_GateBase):
         attended, reg_entry = self._dot_attend(
             q, to_sequence(self.k_proj(x)), to_sequence(self.v_proj(x)), maps)
         return self._merge(x, attended), reg_entry
-
-    def mac_sites(self, prefix: str, low_hw, up_hw):
-        c = self.v_proj.c_out
-        yield f"{prefix}.q_proj", "pointwise", self.q_proj.macs(up_hw)
-        yield f"{prefix}.k_proj", "pointwise", self.k_proj.macs(up_hw)
-        yield f"{prefix}.v_proj", "pointwise", self.v_proj.macs(up_hw)
-        yield _scores_site(prefix, up_hw, c, c)
 
 
 class AdditiveAttentionGate(_GateBase):
@@ -317,13 +308,6 @@ class AdditiveAttentionGate(_GateBase):
         if maps is not None:
             maps.append(weights.data)
         return self._merge(x, attended), weights
-
-    def mac_sites(self, prefix: str, low_hw, up_hw):
-        c = self.v_proj.c_out
-        yield f"{prefix}.w_q", "pointwise", self.w_q.macs(up_hw)
-        yield f"{prefix}.w_k", "pointwise", self.w_k.macs(up_hw)
-        yield f"{prefix}.v_proj", "pointwise", self.v_proj.macs(up_hw)
-        yield _scores_site(prefix, up_hw, c, c)
 
 
 def make_gate(variant: str, c_low: int, c: int, expansion: int = 6) -> _GateBase:

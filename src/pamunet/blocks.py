@@ -19,7 +19,7 @@ import zlib
 import numpy as np
 
 from pamunet import tensor as T
-from pamunet.tensor import ShapeError, Tensor
+from pamunet.tensor import Tensor
 
 
 class Module:
@@ -48,11 +48,8 @@ class Module:
         for cname, child in self._children.items():
             yield from child.named_parameters(prefix + cname + ".")
 
-    def parameters(self) -> list[Tensor]:
-        return [p for _, p in self.named_parameters()]
-
     def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters())
+        return sum(p.size for _, p in self.named_parameters())
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
@@ -122,6 +119,8 @@ class ConvTranspose2d(_Conv):
     _transposed = True
 
     def __init__(self, c_in: int, c_out: int, k: int = 2, stride: int = 2):
+        if stride != k:
+            raise ValueError(f"ConvTranspose2d needs stride == k, got stride {stride}, k={k}")
         super().__init__(c_out, k, stride, kernel=(c_in, c_out, k, k))
 
     def forward(self, x):
@@ -153,7 +152,6 @@ class IRBlock(Module):
             raise ValueError(f"expansion factor must be >= 1, got {expansion}")
         if stride not in (1, 2):
             raise ValueError(f"IRBlock stride must be 1 or 2, got {stride}")
-        self.c_in, self.c_out, self.stride, self.expansion = c_in, c_out, stride, expansion
         hidden = c_in * expansion
         self.expand = PointwiseConv(c_in, hidden, relu6=True)
         self.depthwise = DepthwiseConv(hidden, k=3, stride=stride, padding=1)
@@ -161,8 +159,6 @@ class IRBlock(Module):
         self.use_residual = stride == 1 and c_in == c_out
 
     def forward(self, x):
-        if x.shape[1] != self.c_in:
-            raise ShapeError(f"IRBlock expects {self.c_in} channels, got {x.shape[1]}")
         h = self.project(self.depthwise(self.expand(x)))
         return T.add(h, x) if self.use_residual else h
 

@@ -42,29 +42,31 @@ CONFIG_KEYS = {f.name for cls in (PAMUNetConfig, TrainConfig) for f in fields(cl
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
+    d = PAMUNetConfig()
     p.add_argument("--config", help="JSON file with config overrides (flags win)")
-    p.add_argument("--levels", type=int, help="U depth (default 4)")
-    p.add_argument("--base-channels", type=int, help="channels at the top level (default 16)")
-    p.add_argument("--expansion-factor", type=int, help="IR block expansion (default 6)")
+    p.add_argument("--levels", type=int, help=f"U depth (default {d.levels})")
+    p.add_argument("--base-channels", type=int, help=f"channels at the top level (default {d.base_channels})")
+    p.add_argument("--expansion-factor", type=int, help=f"IR block expansion (default {d.expansion_factor})")
     p.add_argument("--variant", choices=ATTENTION_VARIANTS, dest="attention_variant",
-                   help="attention variant (default pla)")
-    p.add_argument("--decoder-kind", choices=DECODER_KINDS, help="decoder style (default mobile)")
-    p.add_argument("--input-size", type=int, help="square input size (default 128)")
-    p.add_argument("--in-channels", type=int, choices=(1, 3), help="input channels (default 1)")
-    p.add_argument("--threshold", type=float, help="mask threshold in (0, 1) (default 0.5)")
+                   help=f"attention variant (default {d.attention_variant})")
+    p.add_argument("--decoder-kind", choices=DECODER_KINDS, help=f"decoder style (default {d.decoder_kind})")
+    p.add_argument("--input-size", type=int, help=f"square input size (default {d.input_size[0]})")
+    p.add_argument("--in-channels", type=int, choices=(1, 3), help=f"input channels (default {d.in_channels})")
+    p.add_argument("--threshold", type=float, help=f"mask threshold in (0, 1) (default {d.threshold})")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lr", type=float, help="learning rate (default 0.01)")
-    p.add_argument("--momentum", type=float, help="SGD momentum (default 0.9)")
-    p.add_argument("--weight-decay", type=float, help="L2 weight decay (default 0.0001)")
-    p.add_argument("--batch-size", type=int, help="batch size (default 8)")
-    p.add_argument("--epochs", type=int, help="training epochs (default 10)")
-    p.add_argument("--seed", type=int, help="run seed (default 0)")
+    d = TrainConfig()
+    p.add_argument("--lr", type=float, help=f"learning rate (default {d.lr})")
+    p.add_argument("--momentum", type=float, help=f"SGD momentum (default {d.momentum})")
+    p.add_argument("--weight-decay", type=float, help=f"L2 weight decay (default {d.weight_decay})")
+    p.add_argument("--batch-size", type=int, help=f"batch size (default {d.batch_size})")
+    p.add_argument("--epochs", type=int, help=f"training epochs (default {d.epochs})")
+    p.add_argument("--seed", type=int, help=f"run seed (default {d.seed})")
     p.add_argument("--lambda-reg", type=float,
-                   help="attention regularization weight (default 0.01)")
+                   help=f"attention regularization weight (default {d.lambda_reg})")
     p.add_argument("--augment", action=argparse.BooleanOptionalAction, default=None,
-                   help="random flips/90-degree rotations (default off)")
+                   help=f"random flips/90-degree rotations (default {'on' if d.augment else 'off'})")
 
 
 def _load_json_config(path) -> dict:

@@ -136,7 +136,7 @@ class PAMUNet(Module):
     def __init__(self, config: PAMUNetConfig):
         super().__init__()
         config.validate()
-        self._config = config
+        self.config = config
         ch = config.channel_schedule
         t = config.expansion_factor
         levels = config.levels
@@ -178,12 +178,8 @@ class PAMUNet(Module):
 
         self.head = ConvTranspose2d(ch[0], 1, k=1, stride=1)
 
-    @property
-    def config(self) -> PAMUNetConfig:
-        return self._config
-
     def forward(self, x: Tensor, capture: bool = False, maps: bool = False) -> ForwardResult:
-        cfg = self._config
+        cfg = self.config
         if x.ndim != 4 or x.shape[1] != cfg.in_channels or x.shape[2:] != cfg.input_size:
             raise ShapeError(
                 f"input shape {x.shape} does not match configured "
@@ -226,7 +222,7 @@ class PAMUNet(Module):
     def mac_sites(self):
         """Yield (layer name, kind, MAC count) for every multiply-bearing site,
         walking the same structure as forward at the configured input size."""
-        hw = self._config.input_size
+        hw = self.config.input_size
         yield "stem", "conv", self.stem.macs(hw)
         for i, stage in enumerate(self._enc_stages):
             yield f"enc{i}.block0", "irblock", stage.block0.macs(hw)

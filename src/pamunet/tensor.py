@@ -611,18 +611,16 @@ def depthwise_conv2d(x, kernel_d, stride: int = 1, padding: int = 0, *, bias=Non
     def bw(g):
         xp = _pad2d(x.data, padding)
         gk = np.empty((c, k, k), dtype=g.dtype)
-        for i in range(k):
-            for j in range(k):
-                gk[:, i, j] = np.einsum("nchw,nchw->c", g, xp[_tap(i, j, ho, wo, stride)],
-                                        optimize=False)
+        gxp = np.zeros_like(xp) if x.requires_grad else None
+        prod = np.empty_like(g)
+        for i, j in np.ndindex(k, k):
+            tap = _tap(i, j, ho, wo, stride)
+            gk[:, i, j] = np.einsum("nchw,nchw->c", g, xp[tap], optimize=False)
+            if gxp is not None:
+                np.multiply(g, kd[None, :, i, j, None, None], out=prod)
+                gxp[tap] += prod
         accumulate_grad(kernel_d, gk[:, None])
-        if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            prod = np.empty_like(g)
-            for i in range(k):
-                for j in range(k):
-                    np.multiply(g, kd[None, :, i, j, None, None], out=prod)
-                    gxp[_tap(i, j, ho, wo, stride)] += prod
+        if gxp is not None:
             accumulate_grad(x, gxp[:, :, padding:padding + h, padding:padding + w])
 
     return _conv_node(out_data, (x, kernel_d), bias, relu6, bw)

@@ -14,7 +14,6 @@ order, then optimizer velocity blobs when present; nothing follows them.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import dataclass, field
 

@@ -74,6 +74,18 @@ def test_irblock_rejects_bad_config():
         IRBlock(4, 4, stride=3)
 
 
+def test_irblock_channel_mismatch():
+    # the expand conv's operand check is the block's only channel check
+    with pytest.raises(ShapeError, match="channel"):
+        IRBlock(4, 4)(Tensor(np.zeros((1, 3, 4, 4))))
+
+
+def test_conv_transpose_needs_stride_equal_to_k():
+    with pytest.raises(ValueError, match=r"stride 1, k=2"):
+        ConvTranspose2d(4, 2, k=2, stride=1)
+    assert ConvTranspose2d(16, 4, k=2, stride=2).out_hw((8, 8)) == (16, 16)  # criterion 6
+
+
 def test_irblock_residual_gradient_with_zeroed_convs():
     block = IRBlock(3, 3, stride=1)
     x = Tensor(np.random.default_rng(3).standard_normal((1, 3, 4, 4)), requires_grad=True)

@@ -11,7 +11,10 @@ Prints one ``sha256  name`` line per file:
   0 and 2, for the mobile decoder with each attention variant and for the
   vanilla decoder without attention.  The thirteenth trains the paper
   default (PLA, levels 4, base 16) for 1 epoch at batch 2 on 20 synthetic
-  128x128 images.
+  128x128 images.  It also hashes every mask and attention heatmap that
+  ``pamunet predict --attention-dir`` writes for the test split with the
+  ``c8-mobile-pla-s0`` and ``paper-default`` checkpoints; the paper default's
+  64x64 gate exports its map through the streaming kernel.
 
 It drives only ``pamunet.cli.main``, so it runs against any checkout:
 
@@ -38,6 +41,7 @@ DECODERS = ("mobile", "vanilla")
 SMALL = ["--levels", "3", "--base-channels", "4", "--input-size", "64"]
 CRITERION_8 = SMALL + ["--batch-size", "4", "--epochs", "2", "--augment"]
 PAPER = ["--epochs", "1", "--batch-size", "2"]
+PREDICTED = ("c8-mobile-pla-s0", "paper-default")
 
 
 def _cli(argv) -> None:
@@ -67,8 +71,20 @@ def flops(workdir):
                 yield _sha256(path), name
 
 
+def _predict(workdir, name, data_dir, ckpt):
+    """Yield (sha256, name) for every mask and heatmap ``predict`` writes for the test split."""
+    out = os.path.join(workdir, "predict", name)
+    _cli(["predict", "--ckpt", ckpt, "--data", os.path.join(data_dir, "manifest.tsv"),
+          "--split", "test", "--out", os.path.join(out, "masks"),
+          "--attention-dir", os.path.join(out, "attention")])
+    for sub in ("masks", "attention"):
+        for fname in sorted(os.listdir(os.path.join(out, sub))):
+            yield _sha256(os.path.join(out, sub, fname)), f"predict/{name}/{sub}/{fname}"
+
+
 def train(workdir):
-    """Yield (sha256, name) for the checkpoint and log of the 13 training runs."""
+    """Yield (sha256, name) for the checkpoint and log of the 13 training runs
+    and, after each run in ``PREDICTED``, for its predict outputs."""
     runs = []
     data = os.path.join(workdir, "data-c8")
     _cli(["synth", "--out", data, "--seed", "5", "--count", "64", "--size", "64"])
@@ -85,6 +101,8 @@ def train(workdir):
              + flags)
         yield _sha256(ckpt), f"train/{name}.pamckpt"
         yield _sha256(log), f"train/{name}.csv"
+        if name in PREDICTED:
+            yield from _predict(workdir, name, data_dir, ckpt)
 
 
 PARTS = {"flops": flops, "train": train}
