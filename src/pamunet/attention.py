@@ -12,23 +12,23 @@ They differ in where queries/keys/values come from:
   the dot-score attention of Luong et al. (arXiv 1508.04025), scaled by
   1/sqrt(d).
 * additive (:class:`AdditiveAttentionGate`): like cross, but scores come from
-  a single-hidden-layer scorer v . tanh(W1 q + W2 k).
+  a single-hidden-layer scorer v . tanh(W1 q + W2 k) (Bahdanau et al., arXiv
+  1409.0473).
 
 Attended values enter the stream as ``x + gain * attended`` with a learnable
 scalar ``gain``.  With every gate parameter zeroed this makes a gate an exact
 pass-through *and* an SGD fixed point (all gate gradients vanish), so a
 zero-initialized attention model trains identically to the attention-free one.
 
-A gate returns its merged feature and one regularizer entry.  The scaled-dot
-gates pick their path by the per-sample weight-map size ``Lq*Lk*itemsize``:
-up to ``MATERIALIZE_BYTES`` the map (softmax over the key axis) is kept on the
-tape and returned as that entry; beyond it a chunked online-softmax kernel
-recomputes weights in backward and returns a streamed variance instead, so a
-sample takes the same path at every batch size.  The additive gate always
-materializes and refuses grids above ``MATERIALIZE_LIMIT`` positions.  A caller
-that passes a ``maps`` list gets every gate's (N, Lq, Lk) map appended to it,
-streamed or not; no gate keeps a map after its forward.  The projection gates
-share one FLOPs rule, ``_GateBase.mac_sites``; ``PLAGate`` yields its own rows.
+Every gate attends through one kernel, :func:`scaled_dot_attention_streaming`:
+one tape node for softmax(scores) V with either scorer.  Its second output is
+the gate's regularizer entry, chosen by the per-sample map size
+``Lq*Lk*itemsize``: up to ``MATERIALIZE_BYTES`` the (N, Lq, Lk) map on the
+tape; beyond it the variance of query blocks that backward recomputes, so a
+sample takes the same path at every batch size.  A caller that passes a
+``maps`` list gets every gate's map appended to it, streamed or not; no gate
+keeps a map after its forward.  The projection gates share one FLOPs rule,
+``_GateBase.mac_sites``; ``PLAGate`` yields its own rows.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ from pamunet import tensor as T
 from pamunet.blocks import ConvTranspose2d, IRBlock, Module, PointwiseConv
 from pamunet.tensor import ShapeError, Tensor, accumulate_grad
 
-MATERIALIZE_BYTES = 16 * 2 ** 20  # max per-sample weight-map bytes kept on the dot tape
-MATERIALIZE_LIMIT = 4096  # max grid positions of the additive gate's full score map
+MATERIALIZE_BYTES = 16 * 2 ** 20  # max per-sample weight-map bytes kept on the tape
 
 
 # -- tensor-level attention cores --------------------------------------------
@@ -53,129 +52,149 @@ def to_sequence(x: Tensor) -> Tensor:
     return T.transpose(T.reshape(x, (n, c, h * w)), (0, 2, 1))
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor):
-    """softmax(Q K^T / sqrt(d)) V with the full weight map on the tape.
+def _dot_scorer(q: Tensor, k: Tensor, whole: bool):
+    """Scores Q K^T / sqrt(d) of query rows lo:hi, and their backward over (lo,
+    score gradient) blocks.  Same-seed bits rest on its rounding and layouts: it
+    scales each block before both products, passes q's gradient in C order, and
+    sums k's as (N, d, Lk), passed transposed if ``whole``, else in C order."""
+    qd, kd = q.data, k.data
+    scale = 1.0 / math.sqrt(qd.shape[-1])
 
-    q: (N,Lq,d), k: (N,Lk,d), v: (N,Lk,c) -> ((N,Lq,c), weights (N,Lq,Lk)).
-    """
-    d = q.shape[-1]
-    scores = T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(d))
-    weights = T.softmax(scores, axis=2)
-    return T.matmul(weights, v), weights
+    def scores(lo, hi):
+        return (qd[:, lo:hi] @ kd.swapaxes(1, 2)) * scale
+
+    def backward(blocks):
+        gq = np.empty(qd.shape, qd.dtype)
+        gkt = np.zeros((qd.shape[0], qd.shape[2], kd.shape[1]), kd.dtype)
+        for lo, g in blocks:
+            g *= scale
+            rows = slice(lo, lo + g.shape[1])
+            gq[:, rows] = g @ kd
+            gkt += qd[:, rows].swapaxes(1, 2) @ g
+        accumulate_grad(q, gq)
+        gk = gkt.transpose(0, 2, 1)
+        accumulate_grad(k, gk if whole else np.ascontiguousarray(gk))
+
+    return scores, backward
+
+
+def _tanh_scorer(qp: Tensor, kp: Tensor, vvec: Tensor, chunk: int = 256):
+    """Scores s[n,i,j] = sum_d v[d] * tanh(qp[n,i,d] + kp[n,j,d]) of query rows
+    lo:hi, and their backward, which takes (lo, score gradient) blocks and passes
+    each gradient in its input's layout.  Both recompute the tanh ``chunk`` query
+    rows at a time, so the (rows, Lk, d) intermediate is never held in full."""
+    n, lq, d = qp.shape
+    if kp.shape[-1] != d or vvec.shape != (d,):
+        raise ShapeError(f"additive scorer dims disagree: qp {qp.shape}, kp {kp.shape}, v {vvec.shape}")
+    qd, kd, vd = qp.data, kp.data, vvec.data
+
+    def tanh_block(a, b):
+        """tanh(qp + kp) for query rows a:b against every key: (N, b - a, Lk, d)."""
+        return np.tanh(qd[:, a:b, None, :] + kd[:, None, :, :])
+
+    def scores(lo, hi):
+        hi = min(hi, lq)
+        out = np.empty((n, hi - lo, kd.shape[1]), dtype=qd.dtype)
+        for a in range(lo, hi, chunk):
+            out[:, a - lo:a - lo + chunk] = tanh_block(a, min(a + chunk, hi)) @ vd
+        return out
+
+    def backward(blocks):
+        gq, gk, gv = np.zeros_like(qd), np.zeros_like(kd), np.zeros_like(vd)
+        for lo, g in blocks:
+            for a in range(lo, lo + g.shape[1], chunk):
+                gc = g[:, a - lo:a - lo + chunk]
+                t = tanh_block(a, a + gc.shape[1])
+                gv += np.einsum("nij,nijd->d", gc, t, optimize=True)
+                # reuse t in place: t <- gc * v * (1 - t^2)
+                np.multiply(t, t, out=t)
+                np.subtract(1.0, t, out=t)
+                t *= vd
+                t *= gc[..., None]
+                gq[:, a:a + gc.shape[1]] = t.sum(axis=2)
+                gk += t.sum(axis=1)
+        accumulate_grad(qp, gq)
+        accumulate_grad(kp, gk)
+        accumulate_grad(vvec, gv)
+
+    return scores, backward
+
+
+def additive_scores(qp: Tensor, kp: Tensor, vvec: Tensor, chunk: int = 256) -> Tensor:
+    """The additive scorer as a tape op: (N,Lq,d), (N,Lk,d), (d,) -> (N,Lq,Lk)."""
+    scores, backward = _tanh_scorer(qp, kp, vvec, chunk)
+    return T._out(scores(0, qp.shape[1]), (qp, kp, vvec), lambda g: backward([(0, g)]))
+
+
+def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor):
+    """softmax(Q K^T / sqrt(d)) V and its weight map, kept on the tape."""
+    return scaled_dot_attention_streaming(q, k, v, keep_map=True)
 
 
 def scaled_dot_attention_streaming(q: Tensor, k: Tensor, v: Tensor, chunk: int = 512,
-                                   weights: np.ndarray | None = None):
-    """Chunked scaled-dot attention that never keeps the weight map on the tape.
+                                   weights: np.ndarray | None = None, *,
+                                   score_v: Tensor | None = None, keep_map: bool = False):
+    """softmax(scores) V, normalized over the keys, as one tape node.
 
-    Processes query rows in blocks, recomputing the softmax in backward, and
-    returns (attended, population variance of all weight entries) so the
-    regularizer stays available without the map.  A ``weights`` array of
-    shape (N, Lq, Lk) receives each normalized block as it is computed.
+    q: (N,Lq,d), k: (N,Lk,d), v: (N,Lk,c) -> ((N,Lq,c), second output).  Scores
+    are Q K^T / sqrt(d), or score_v . tanh(q + k) given a (d,) ``score_v``.  With
+    ``keep_map`` all query rows are one block and the second output is the
+    (N,Lq,Lk) weight map, whose gradient (say from ``T.variance``) joins the
+    kernel's own.  Otherwise query rows go in blocks of ``chunk``, backward
+    recomputes their weights, and the second output is the population variance
+    of all weight entries; a ``weights`` array then receives each block.
     """
-    n, lq, d = q.shape
-    scale = 1.0 / math.sqrt(d)
-    lk = k.shape[1]
-    qd, kd, vd = q.data, k.data, v.data
+    n, lq, _ = q.shape
+    vd = v.data
+    scores, score_backward = (_dot_scorer(q, k, keep_map) if score_v is None
+                              else _tanh_scorer(q, k, score_v))
+    step = lq if keep_map else chunk
+    total = n * lq * k.shape[1]
 
     def weight_block(lo):
-        """Softmax weights of query rows lo:lo + chunk, normalized over the keys."""
-        s = (qd[:, lo:lo + chunk] @ kd.swapaxes(1, 2)) * scale
+        """Softmax weights of query rows lo:lo + step, normalized over the keys."""
+        s = scores(lo, lo + step)
         s -= s.max(axis=2, keepdims=True)
         np.exp(s, out=s)
         s /= s.sum(axis=2, keepdims=True)
         return s
 
-    out_data = np.empty((n, lq, vd.shape[-1]), dtype=qd.dtype)
-    total = n * lq * lk
-    w_sum = 0.0
-    w_sumsq = 0.0
-    for lo in range(0, lq, chunk):
-        s = weight_block(lo)
-        if weights is not None:
-            weights[:, lo:lo + chunk] = s
-        out_data[:, lo:lo + chunk] = s @ vd
-        w_sum += float(s.sum(dtype=np.float64))
-        w_sumsq += float((s * s).sum(dtype=np.float64))
-    w_mean = w_sum / total
-    var_data = np.asarray(w_sumsq / total - w_mean * w_mean, dtype=qd.dtype)
+    if keep_map:
+        w_map = weight_block(0)
+        out_data, second = w_map @ vd, w_map
+    else:
+        out_data = np.empty((n, lq, vd.shape[-1]), dtype=q.data.dtype)
+        w_sum = w_sumsq = 0.0
+        for lo in range(0, lq, step):
+            s = weight_block(lo)
+            if weights is not None:
+                weights[:, lo:lo + step] = s
+            out_data[:, lo:lo + step] = s @ vd
+            w_sum += float(s.sum(dtype=np.float64))
+            w_sumsq += float((s * s).sum(dtype=np.float64))
+        w_mean = w_sum / total
+        second = np.asarray(w_sumsq / total - w_mean * w_mean, dtype=q.data.dtype)
 
     def bw(gs):
-        g_out, g_var = gs
-        # C-ordered, whatever the layout of the (often transposed) inputs
-        gq = np.zeros(qd.shape, qd.dtype) if q.requires_grad else None
-        gk = np.zeros(kd.shape, kd.dtype) if k.requires_grad else None
-        gv = np.zeros(vd.shape, vd.dtype) if v.requires_grad else None
-        for lo in range(0, lq, chunk):
-            s = weight_block(lo)
-            gw = np.zeros_like(s)
-            if g_out is not None:
-                gw += g_out[:, lo:lo + chunk] @ vd.swapaxes(1, 2)
-            if g_var is not None:
-                gw += g_var * (2.0 / total) * (s - w_mean)
-            gs_block = s * (gw - (gw * s).sum(axis=2, keepdims=True))
-            if gq is not None:
-                gq[:, lo:lo + chunk] = (gs_block @ kd) * scale
-            if gk is not None:
-                gk += (gs_block.swapaxes(1, 2) @ qd[:, lo:lo + chunk]) * scale
-            if gv is not None and g_out is not None:
-                gv += s.swapaxes(1, 2) @ g_out[:, lo:lo + chunk]
-        if gq is not None:
-            accumulate_grad(q, gq)
-        if gk is not None:
-            accumulate_grad(k, gk)
-        if gv is not None:
-            accumulate_grad(v, gv)
+        g_out, g_second = gs
+        g_out = np.zeros_like(out_data) if g_out is None else g_out
+        gv = np.zeros(vd.shape, vd.dtype)
 
-    return T._out((out_data, var_data), (q, k, v), bw)
+        def score_grads():
+            """(lo, score gradient) of each block, through the softmax."""
+            nonlocal gv
+            for lo in range(0, lq, step):
+                s = w_map if keep_map else weight_block(lo)
+                gw = g_out[:, lo:lo + step] @ vd.swapaxes(1, 2)
+                if g_second is not None:
+                    gw += g_second if keep_map else g_second * (2.0 / total) * (s - w_mean)
+                gv += s.swapaxes(1, 2) @ g_out[:, lo:lo + step]
+                yield lo, s * (gw - (gw * s).sum(axis=2, keepdims=True))
 
+        score_backward(score_grads())
+        accumulate_grad(v, gv)
 
-def additive_scores(qp: Tensor, kp: Tensor, vvec: Tensor, chunk: int = 256) -> Tensor:
-    """Scores s[n,i,j] = sum_d v[d] * tanh(qp[n,i,d] + kp[n,j,d]).
-
-    The (Lq, Lk, d) tanh intermediate is never held in full: forward and
-    backward walk query chunks and recompute it.
-    """
-    n, lq, d = qp.shape
-    lk = kp.shape[1]
-    if kp.shape[-1] != d or vvec.shape != (d,):
-        raise ShapeError(f"additive scorer dims disagree: qp {qp.shape}, kp {kp.shape}, v {vvec.shape}")
-    qd, kd, vd = qp.data, kp.data, vvec.data
-
-    def tanh_block(lo):
-        """tanh(qp + kp) for query rows lo:lo + chunk against every key: (N, chunk, Lk, d)."""
-        return np.tanh(qd[:, lo:lo + chunk, None, :] + kd[:, None, :, :])
-
-    out_data = np.empty((n, lq, lk), dtype=qd.dtype)
-    for lo in range(0, lq, chunk):
-        out_data[:, lo:lo + chunk] = tanh_block(lo) @ vd
-
-    def bw(g):
-        gq = np.zeros_like(qd) if qp.requires_grad else None
-        gk = np.zeros_like(kd) if kp.requires_grad else None
-        gv = np.zeros_like(vd) if vvec.requires_grad else None
-        for lo in range(0, lq, chunk):
-            t = tanh_block(lo)
-            gc = g[:, lo:lo + chunk]
-            if gv is not None:
-                gv += np.einsum("nij,nijd->d", gc, t, optimize=True)
-            # reuse t in place: t <- gc * v * (1 - t^2)
-            np.multiply(t, t, out=t)
-            np.subtract(1.0, t, out=t)
-            t *= vd
-            t *= gc[..., None]
-            if gq is not None:
-                gq[:, lo:lo + chunk] = t.sum(axis=2)
-            if gk is not None:
-                gk += t.sum(axis=1)
-        if gq is not None:
-            accumulate_grad(qp, gq)
-        if gk is not None:
-            accumulate_grad(kp, gk)
-        if gv is not None:
-            accumulate_grad(vvec, gv)
-
-    return T._out(out_data, (qp, kp, vvec), bw)
+    return T._out((out_data, second), (q, k, v, score_v), bw)
 
 
 # -- gates -------------------------------------------------------------------
@@ -192,11 +211,13 @@ def _scores_site(prefix: str, up_hw, c: int):
 
 
 class _GateBase(Module):
-    """Grid check, dot attention and merge shared by all gate variants.
+    """Grid check, attention and merge shared by all gate variants.
 
-    A gate yields its FLOPs rows through ``mac_sites(prefix, low_hw, up_hw)``,
-    where ``low_hw`` is the grid of the lower decoder feature and ``up_hw`` the
-    upsampled grid the gate attends on; the projection gates use this class's.
+    Every gate attends through ``_attend``, which keeps the weight map on the
+    tape or streams it by ``MATERIALIZE_BYTES``.  A gate yields its FLOPs rows
+    through ``mac_sites(prefix, low_hw, up_hw)``, where ``low_hw`` is the grid
+    of the lower decoder feature and ``up_hw`` the upsampled grid the gate
+    attends on; the projection gates use this class's.
     """
 
     def _check_grids(self, x: Tensor, skip: Tensor) -> None:
@@ -206,25 +227,19 @@ class _GateBase(Module):
                 "(encoder residual and upsampled decoder feature must align)"
             )
 
-    def _dot_attend(self, q: Tensor, k: Tensor, v: Tensor, maps: list | None):
-        """Returns (attended sequence, regularizer entry: map or variance);
-        appends the weight map to ``maps`` when given."""
-        n, lq, _ = q.shape
-        lk = k.shape[1]
-        if lq * lk * q.data.itemsize <= MATERIALIZE_BYTES:
-            attended, entry = scaled_dot_attention(q, k, v)
-            weights = entry.data
-        else:
-            weights = None if maps is None else np.empty((n, lq, lk), q.data.dtype)
-            attended, entry = scaled_dot_attention_streaming(q, k, v, weights=weights)
+    def _attend(self, x: Tensor, q: Tensor, k: Tensor, v: Tensor, maps: list | None,
+                score_v: Tensor | None = None):
+        """Returns (x + gain * attended, laid out on x's grid; regularizer entry:
+        map or variance) and appends the weight map to ``maps`` when given."""
+        (n, lq, _), lk = q.shape, k.shape[1]
+        keep_map = lq * lk * q.data.itemsize <= MATERIALIZE_BYTES
+        weights = None if keep_map or maps is None else np.empty((n, lq, lk), q.data.dtype)
+        attended, entry = scaled_dot_attention_streaming(q, k, v, weights=weights,
+                                                         score_v=score_v, keep_map=keep_map)
         if maps is not None:
-            maps.append(weights)
-        return attended, entry
-
-    def _merge(self, x: Tensor, attended: Tensor) -> Tensor:
-        """x + gain * attended, the (N, H*W, C) sequence laid out on x's grid."""
+            maps.append(entry.data if keep_map else weights)
         image = T.reshape(T.transpose(attended, (0, 2, 1)), x.shape)
-        return T.add(x, T.mul(self.gain, image))
+        return T.add(x, T.mul(self.gain, image)), entry
 
     def mac_sites(self, prefix: str, low_hw, up_hw):
         """One pointwise row per 1x1 projection child on ``up_hw``, in order, then scores."""
@@ -249,9 +264,7 @@ class PLAGate(_GateBase):
         kv_src = self.upsample(self.refine(decoder_low))
         self._check_grids(kv_src, skip)
         k_img, v_img = T.split(self.kv(kv_src), 2, axis=1)
-        q = to_sequence(skip)
-        attended, reg_entry = self._dot_attend(q, to_sequence(k_img), to_sequence(v_img), maps)
-        return self._merge(x, attended), reg_entry
+        return self._attend(x, to_sequence(skip), to_sequence(k_img), to_sequence(v_img), maps)
 
     def mac_sites(self, prefix: str, low_hw, up_hw):
         yield f"{prefix}.refine", "irblock", self.refine.macs(low_hw)
@@ -276,9 +289,7 @@ class DotAttentionGate(_GateBase):
     def forward(self, decoder_low: Tensor, x: Tensor, skip: Tensor, maps: list | None = None):
         self._check_grids(x, skip)
         q = to_sequence(self.q_proj(skip if self.cross else x))
-        attended, reg_entry = self._dot_attend(
-            q, to_sequence(self.k_proj(x)), to_sequence(self.v_proj(x)), maps)
-        return self._merge(x, attended), reg_entry
+        return self._attend(x, q, to_sequence(self.k_proj(x)), to_sequence(self.v_proj(x)), maps)
 
 
 class AdditiveAttentionGate(_GateBase):
@@ -294,20 +305,8 @@ class AdditiveAttentionGate(_GateBase):
 
     def forward(self, decoder_low: Tensor, x: Tensor, skip: Tensor, maps: list | None = None):
         self._check_grids(x, skip)
-        lq = skip.shape[2] * skip.shape[3]
-        if lq > MATERIALIZE_LIMIT:
-            raise ShapeError(
-                f"additive attention grid {lq} exceeds the materialization "
-                f"limit {MATERIALIZE_LIMIT}"
-            )
-        qp = to_sequence(self.w_q(skip))
-        kp = to_sequence(self.w_k(x))
-        scores = additive_scores(qp, kp, self.score_v)
-        weights = T.softmax(scores, axis=2)
-        attended = T.matmul(weights, to_sequence(self.v_proj(x)))
-        if maps is not None:
-            maps.append(weights.data)
-        return self._merge(x, attended), weights
+        return self._attend(x, to_sequence(self.w_q(skip)), to_sequence(self.w_k(x)),
+                            to_sequence(self.v_proj(x)), maps, score_v=self.score_v)
 
 
 def make_gate(variant: str, c_low: int, c: int, expansion: int = 6) -> _GateBase:

@@ -213,10 +213,69 @@ def test_gate_appends_its_map_on_request(variant, path, monkeypatch):
     np.testing.assert_array_equal(y_m.data, y.data)
     np.testing.assert_array_equal(entry_m.data, entry.data)
     assert len(maps) == 1 and maps[0].shape == (2, 36, 36)
-    if entry.ndim == 3:  # materialized, and the additive gate on either path
+    if path == "materialized":
         np.testing.assert_array_equal(maps[0], entry.data)
     else:
         assert float(maps[0].var(dtype=np.float64)) == pytest.approx(entry.item(), rel=1e-5)
+
+
+def _chain_forward(gate, d_low, x, skip):
+    """A gate's forward as separate tape ops: scores, then ``T.softmax`` and
+    ``T.matmul``; the reference that the one-node kernel must reproduce."""
+    if isinstance(gate, A.AdditiveAttentionGate):
+        scores = A.additive_scores(A.to_sequence(gate.w_q(skip)), A.to_sequence(gate.w_k(x)),
+                                   gate.score_v)
+        v = None  # the values were projected after the softmax
+    else:
+        if isinstance(gate, A.PLAGate):
+            k_img, v_img = T.split(gate.kv(gate.upsample(gate.refine(d_low))), 2, axis=1)
+            q = A.to_sequence(skip)
+        else:
+            q = A.to_sequence(gate.q_proj(skip if gate.cross else x))
+            k_img, v_img = gate.k_proj(x), gate.v_proj(x)
+        k, v = A.to_sequence(k_img), A.to_sequence(v_img)
+        scores = T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(q.shape[-1]))
+    weights = T.softmax(scores, axis=2)
+    attended = T.matmul(weights, v if v is not None else A.to_sequence(gate.v_proj(x)))
+    image = T.reshape(T.transpose(attended, (0, 2, 1)), x.shape)
+    return T.add(x, T.mul(gate.gain, image)), weights
+
+
+@pytest.mark.parametrize("variant", ["pla", "self", "cross", "additive"])
+@pytest.mark.parametrize("n,side,c", [(4, 16, 8), (4, 32, 4)])
+def test_gate_matches_tape_chain_bitwise(variant, n, side, c):
+    # the criterion-8 grids, (4,256,8) and (4,1024,4), in float32: the loss and
+    # every gradient, whose layout decides the bits of the projections' gradients
+    d_low, x, skip = _gate_inputs(c_low=2 * c, c=c, h=side // 2, w=side // 2, n=n, seed=25)
+    for t in (d_low, x, skip):
+        t.requires_grad = True
+    gate = A.make_gate(variant, 2 * c, c)
+    init_parameters(gate, 26)
+    gate.gain.data[...] = 0.5
+    tensors = [p for _, p in gate.named_parameters()] + [d_low, x, skip]
+    runs = []
+    for forward in (gate, lambda *a: _chain_forward(gate, *a)):
+        y, entry = forward(d_low, x, skip)
+        assert entry.ndim == 3
+        loss = T.add(T.mean(T.mul(y, y)), T.variance(entry))
+        T.backward(loss)
+        runs.append([loss.data.tobytes()] + [None if t.grad is None else t.grad.tobytes()
+                                             for t in tensors])
+        for t in tensors:
+            t.zero_grad()
+    assert runs[0] == runs[1]
+
+
+def test_additive_gate_streams_beyond_4096_positions():
+    d_low, x, skip = _gate_inputs(c_low=2, c=2, h=33, w=33, n=1, seed=27)  # 66x66: 4,356 positions
+    gate = A.AdditiveAttentionGate(2)
+    init_parameters(gate, 28)
+    gate.gain.data[...] = 0.5
+    y, entry = gate(d_low, x, skip)
+    assert entry.ndim == 0
+    T.backward(T.add(T.mean(T.mul(y, y)), entry))
+    for name, p in gate.named_parameters():
+        assert p.grad is not None and np.isfinite(p.grad).all(), name
 
 
 def test_grid_mismatch_raises():
@@ -247,21 +306,26 @@ def test_fd_pla_gate_gradients():
         check_gradients(f, params + [d_low, x, skip], tol=1e-4)
 
 
-def test_fd_streaming_attention_gradients():
+@pytest.mark.parametrize("scorer", ["dot", "additive"])
+def test_fd_streaming_attention_gradients(scorer):
     with T.using_dtype(np.float64):
         rng = np.random.default_rng(18)
         q = Tensor(rng.standard_normal((1, 4, 3)), requires_grad=True)
         k = Tensor(rng.standard_normal((1, 5, 3)), requires_grad=True)
         v = Tensor(rng.standard_normal((1, 5, 2)), requires_grad=True)
+        score_v = Tensor(rng.standard_normal(3), requires_grad=True) if scorer == "additive" else None
 
         def f():
-            out, var = A.scaled_dot_attention_streaming(q, k, v, chunk=2)
+            out, var = A.scaled_dot_attention_streaming(q, k, v, chunk=2, score_v=score_v)
             return T.add(T.mean(T.mul(out, out)), T.mul(var, 3.0))
 
-        check_gradients(f, [q, k, v], tol=1e-4)
+        check_gradients(f, [q, k, v] + ([score_v] if score_v is not None else []), tol=1e-4)
 
 
-def test_fd_additive_gate_gradients():
+@pytest.mark.parametrize("path", ["materialized", "streamed"])
+def test_fd_additive_gate_gradients(path, monkeypatch):
+    if path == "streamed":
+        monkeypatch.setattr(A, "MATERIALIZE_BYTES", 0)
     with T.using_dtype(np.float64):
         rng = np.random.default_rng(19)
         d_low = Tensor(rng.standard_normal((1, 2, 2, 2)))

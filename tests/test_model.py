@@ -178,7 +178,9 @@ def test_mac_sites_walk_the_whole_model():
 def _op_macs(monkeypatch):
     """Count MACs at the ops, as the benchmark's self-test does: every output
     element of a conv costs one kernel slice, every input pixel of a
-    transposed conv one kernel slice, a matmul output element one row."""
+    transposed conv one kernel slice, a matmul output element one row, and the
+    attention kernel one score row per (query, key) pair plus one weights @ V
+    row per output element."""
     counted = []
 
     def wrap(owner, name, rule):
@@ -195,7 +197,8 @@ def _op_macs(monkeypatch):
         wrap(T, name, lambda a, out: out.data.size * int(np.prod(a[1].shape[1:])))
     wrap(T, "conv_transpose2d", lambda a, out: a[0].data.size * int(np.prod(a[1].shape[1:])))
     wrap(T, "matmul", lambda a, out: out.data.size * a[0].shape[-1])
-    wrap(A, "additive_scores", lambda a, out: out.data.size * a[0].shape[-1])
+    wrap(A, "scaled_dot_attention_streaming",
+         lambda a, out: int(np.prod(a[0].shape)) * a[1].shape[1] + out[0].data.size * a[1].shape[1])
     return counted
 
 

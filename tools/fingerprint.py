@@ -13,8 +13,8 @@ Prints one ``sha256  name`` line per file:
   default (PLA, levels 4, base 16) for 1 epoch at batch 2 on 20 synthetic
   128x128 images.  It also hashes every mask and attention heatmap that
   ``pamunet predict --attention-dir`` writes for the test split with the
-  ``c8-mobile-pla-s0`` and ``paper-default`` checkpoints; the paper default's
-  64x64 gate exports its map through the streaming kernel.
+  ``c8-mobile-pla-s0``, ``c8-mobile-additive-s0`` and ``paper-default``
+  checkpoints; the paper default's 64x64 gate exports a streamed map.
 
 It drives only ``pamunet.cli.main``, so it runs against any checkout:
 
@@ -41,7 +41,7 @@ DECODERS = ("mobile", "vanilla")
 SMALL = ["--levels", "3", "--base-channels", "4", "--input-size", "64"]
 CRITERION_8 = SMALL + ["--batch-size", "4", "--epochs", "2", "--augment"]
 PAPER = ["--epochs", "1", "--batch-size", "2"]
-PREDICTED = ("c8-mobile-pla-s0", "paper-default")
+PREDICTED = ("c8-mobile-pla-s0", "c8-mobile-additive-s0", "paper-default")
 
 
 def _cli(argv) -> None:
