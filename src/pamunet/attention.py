@@ -24,11 +24,11 @@ Every gate attends through one kernel, :func:`scaled_dot_attention_streaming`:
 one tape node for softmax(scores) V with either scorer.  Its second output is
 the gate's regularizer entry, chosen by the per-sample map size
 ``Lq*Lk*itemsize``: up to ``MATERIALIZE_BYTES`` the (N, Lq, Lk) map on the
-tape; beyond it the variance of query blocks that backward recomputes, so a
-sample takes the same path at every batch size.  A caller that passes a
-``maps`` list gets every gate's map appended to it, streamed or not; no gate
-keeps a map after its forward.  The projection gates share one FLOPs rule,
-``_GateBase.mac_sites``; ``PLAGate`` yields its own rows.
+tape; beyond it the variance of query blocks that backward recomputes, from one
+sum of squares, as each row's mean is 1/Lk.  A sample takes the same path at
+every batch size.  A ``maps`` list, when passed, gets every gate's map appended,
+streamed or not; no gate keeps a map after its forward.  The projection gates
+share one FLOPs rule, ``_GateBase.mac_sites``; ``PLAGate`` yields its own rows.
 """
 
 from __future__ import annotations
@@ -142,14 +142,16 @@ def scaled_dot_attention_streaming(q: Tensor, k: Tensor, v: Tensor, chunk: int =
     (N,Lq,Lk) weight map, whose gradient (say from ``T.variance``) joins the
     kernel's own.  Otherwise query rows go in blocks of ``chunk``, backward
     recomputes their weights, and the second output is the population variance
-    of all weight entries; a ``weights`` array then receives each block.
+    of all weight entries, mean(w^2) - 1/Lk^2: every row sums to 1, so the mean
+    is 1/Lk and the softmax backward cancels its shift.  A ``weights`` array
+    then receives each block.
     """
-    n, lq, _ = q.shape
+    (n, lq, _), lk = q.shape, k.shape[1]
     vd = v.data
     scores, score_backward = (_dot_scorer(q, k, keep_map) if score_v is None
                               else _tanh_scorer(q, k, score_v))
     step = lq if keep_map else chunk
-    total = n * lq * k.shape[1]
+    total = n * lq * lk
 
     def weight_block(lo):
         """Softmax weights of query rows lo:lo + step, normalized over the keys."""
@@ -159,21 +161,17 @@ def scaled_dot_attention_streaming(q: Tensor, k: Tensor, v: Tensor, chunk: int =
         s /= s.sum(axis=2, keepdims=True)
         return s
 
-    if keep_map:
-        w_map = weight_block(0)
-        out_data, second = w_map @ vd, w_map
-    else:
-        out_data = np.empty((n, lq, vd.shape[-1]), dtype=q.data.dtype)
-        w_sum = w_sumsq = 0.0
-        for lo in range(0, lq, step):
-            s = weight_block(lo)
-            if weights is not None:
-                weights[:, lo:lo + step] = s
-            out_data[:, lo:lo + step] = s @ vd
-            w_sum += float(s.sum(dtype=np.float64))
+    out_data = np.empty((n, lq, vd.shape[-1]), dtype=q.data.dtype)
+    w_sumsq = 0.0
+    for lo in range(0, lq, step):
+        s = weight_block(lo)
+        if weights is not None:
+            weights[:, lo:lo + step] = s
+        out_data[:, lo:lo + step] = s @ vd
+        if not keep_map:
             w_sumsq += float((s * s).sum(dtype=np.float64))
-        w_mean = w_sum / total
-        second = np.asarray(w_sumsq / total - w_mean * w_mean, dtype=q.data.dtype)
+    w_map = s if keep_map else None  # backward holds no streamed block
+    second = w_map if keep_map else np.asarray(w_sumsq / total - 1.0 / lk ** 2, dtype=q.data.dtype)
 
     def bw(gs):
         g_out, g_second = gs
@@ -187,7 +185,7 @@ def scaled_dot_attention_streaming(q: Tensor, k: Tensor, v: Tensor, chunk: int =
                 s = w_map if keep_map else weight_block(lo)
                 gw = g_out[:, lo:lo + step] @ vd.swapaxes(1, 2)
                 if g_second is not None:
-                    gw += g_second if keep_map else g_second * (2.0 / total) * (s - w_mean)
+                    gw += g_second if keep_map else g_second * (2.0 / total) * s
                 gv += s.swapaxes(1, 2) @ g_out[:, lo:lo + step]
                 yield lo, s * (gw - (gw * s).sum(axis=2, keepdims=True))
 

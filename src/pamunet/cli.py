@@ -110,11 +110,19 @@ def _train_config(args) -> TrainConfig:
     return config_from_dict(TrainConfig, _merged(args, TrainConfig))
 
 
+def _make_out_dirs(*flag_paths) -> None:
+    """Make each (flag, output file path)'s directory, before the command works."""
+    for flag, path in flag_paths:
+        if path:
+            try:
+                os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+            except OSError as e:
+                raise OSError(f"{flag} {path}: cannot make its directory: {e}") from e
+
+
 def _write_text(path, text) -> None:
-    if path:
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def _attention_heatmap(weights: np.ndarray) -> np.ndarray:
@@ -137,12 +145,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    for flag, path in (("--out", args.out), ("--log", args.log)):  # written after training
-        if path:
-            try:
-                os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-            except OSError as e:
-                raise OSError(f"{flag} {path}: cannot make its directory: {e}") from e
+    _make_out_dirs(("--out", args.out), ("--log", args.log))
     manifest = Manifest.load(args.data)
     model_cfg = _model_config(args)
     train_cfg = _train_config(args)
@@ -165,6 +168,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _make_out_dirs(("--out", args.out))
     model, _ = load_checkpoint(args.ckpt)
     manifest = Manifest.load(args.data)
     report = evaluate(model, manifest, args.split)
@@ -200,6 +204,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_flops(args) -> int:
+    _make_out_dirs(("--out", args.out))
     model = build(_model_config(args), seed=0)
     report = count_flops(model)
     print(report.format_table())
@@ -209,6 +214,7 @@ def cmd_flops(args) -> int:
 
 
 def cmd_cka(args) -> int:
+    _make_out_dirs(("--out", args.out))
     if args.probe_count < MIN_PROBE:
         raise UsageError(f"--probe-count must be >= {MIN_PROBE}, got {args.probe_count}")
     model_a, _ = load_checkpoint(args.ckpt_a)
@@ -301,6 +307,7 @@ def ablation_csv(rows, means) -> str:
 
 
 def cmd_ablate(args) -> int:
+    _make_out_dirs(("--out", args.out))
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
     manifest = Manifest.load(args.data)

@@ -180,7 +180,7 @@ def load_split(manifest: Manifest, split: str) -> list[Sample]:
 # -- synthetic data -------------------------------------------------------------
 
 def _ellipse(size: int, cx: int, cy: int, a: int, b: int) -> np.ndarray:
-    yy, xx = np.mgrid[0:size, 0:size]
+    yy, xx = np.ogrid[0:size, 0:size]
     return ((xx - cx) ** 2) / a ** 2 + ((yy - cy) ** 2) / b ** 2 <= 1.0
 
 

@@ -512,15 +512,6 @@ def _gather(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray
     return win
 
 
-def _scatter(grid: np.ndarray, win: np.ndarray, stride: int) -> np.ndarray:
-    """Adjoint of _gather: add (N,Ho,Wo,C,k,k) taps into a padded (N,C,H,W) grid."""
-    _, ho, wo, _, k, _ = win.shape
-    for i in range(k):
-        for j in range(k):
-            grid[_tap(i, j, ho, wo, stride)] += win[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-    return grid
-
-
 def _conv_node(out: np.ndarray, inputs, bias, relu6: bool, conv_bw) -> Tensor:
     """Add the (C_out,1,1) ``bias`` and clamp to [0, 6] in place on a conv's fresh
     output, keeping its layout, and record one tape node for all three.  The mask
@@ -582,7 +573,10 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, *, bias=None, relu6: bo
         gf = g.reshape(n, c_out, ho * wo).transpose(0, 2, 1)
         accumulate_grad(kernel, np.tensordot(gf, cols, axes=([0, 1], [0, 1])).reshape(kernel.shape))
         if x.requires_grad:
-            gxp = _scatter(np.zeros_like(xp), (gf @ wm).reshape(n, ho, wo, c, k, k), stride)
+            gc = (wm.T @ g.reshape(n, c_out, ho * wo)).reshape(n, c, k, k, ho, wo)
+            gxp = np.zeros_like(xp)
+            for i, j in np.ndindex(k, k):
+                gxp[_tap(i, j, ho, wo, stride)] += gc[:, :, i, j]
             accumulate_grad(x, gxp[:, :, padding:padding + h, padding:padding + w])
 
     return _conv_node(out_data, (x, kernel), bias, relu6, bw)

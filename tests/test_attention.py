@@ -146,13 +146,27 @@ def test_key_permutation_leaves_output_unchanged():
 def test_streaming_matches_materialized_path():
     rng = np.random.default_rng(12)
     with T.using_dtype(np.float64):
-        q = Tensor(rng.standard_normal((2, 7, 3)))
-        k = Tensor(rng.standard_normal((2, 5, 3)))
-        v = Tensor(rng.standard_normal((2, 5, 4)))
-        out_full, w = A.scaled_dot_attention(q, k, v)
-        out_stream, var = A.scaled_dot_attention_streaming(q, k, v, chunk=3)
-    np.testing.assert_allclose(out_stream.data, out_full.data, atol=1e-12)
-    assert var.item() == pytest.approx(T.variance(w).item(), abs=1e-12)
+        q, k, v = (Tensor(rng.standard_normal(shape), requires_grad=True)
+                   for shape in ((2, 7, 3), (2, 5, 3), (2, 5, 4)))
+
+        def run(keep_map):
+            """Output, variance, and the q, k, v gradients of mean(out^2) + 3 var."""
+            out, second = A.scaled_dot_attention_streaming(q, k, v, chunk=3, keep_map=keep_map)
+            var = T.variance(second) if keep_map else second
+            T.backward(T.add(T.mean(T.mul(out, out)), T.mul(Tensor(3.0), var)))
+            grads = [t.grad for t in (q, k, v)]
+            for t in (q, k, v):
+                t.zero_grad()
+            return out.data, var.item(), grads
+
+        out_full, var_full, grads_full = run(keep_map=True)
+        out_stream, var_stream, grads_stream = run(keep_map=False)
+    np.testing.assert_allclose(out_stream, out_full, atol=1e-12)
+    assert var_stream == pytest.approx(var_full, abs=1e-12)
+    # the kept map's gradient comes through T.variance, mean shift included; the
+    # streamed variance has no mean term, so this checks that the shift cancels
+    for got, want in zip(grads_stream, grads_full):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
 def test_streaming_weights_output_matches_materialized_map():

@@ -167,6 +167,38 @@ def test_fd_conv2d(stride, padding):
                                          T.conv2d(x, w, stride, padding))), [x, w])
 
 
+def _scatter_reference(g, kernel, x_shape, stride, padding):
+    """conv2d's input gradient as the op once computed it: a (N,Ho,Wo,C,k,k)
+    window gradient whose taps are added, in tap order, through transposed views."""
+    n, c, h, w = x_shape
+    c_out, _, k, _ = kernel.shape
+    ho, wo = g.shape[2:]
+    wm = kernel.reshape(c_out, c * k * k)
+    win = (g.reshape(n, c_out, ho * wo).transpose(0, 2, 1) @ wm).reshape(n, ho, wo, c, k, k)
+    grid = np.zeros((n, c, h + 2 * padding, w + 2 * padding), g.dtype)
+    for i in range(k):
+        for j in range(k):
+            grid[:, :, i:i + (ho - 1) * stride + 1:stride, j:j + (wo - 1) * stride + 1:stride] += (
+                win[:, :, :, :, i, j].transpose(0, 3, 1, 2))
+    return grid[:, :, padding:padding + h, padding:padding + w]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape,c_out,stride", [
+    ((4, 16, 16, 16), 8, 1), ((4, 8, 32, 32), 4, 1), ((4, 8, 64, 64), 4, 1),  # criterion-8 vanilla fuses
+    ((2, 3, 17, 15), 4, 2),
+])
+def test_conv2d_input_gradient_equals_window_scatter_bitwise(x_shape, c_out, stride, dtype):
+    rng = np.random.default_rng(32)
+    x = Tensor(rng.standard_normal(x_shape), requires_grad=True, dtype=dtype)
+    w = Tensor(rng.standard_normal((c_out, x_shape[1], 3, 3)), dtype=dtype)
+    out = T.conv2d(x, w, stride, 1)
+    g = rng.standard_normal(out.shape).astype(dtype)
+    T.backward(T.tsum(T.mul(out, Tensor(g, dtype=dtype))))
+    want = _scatter_reference(g, w.data, x.shape, stride, 1)
+    assert x.grad.dtype == want.dtype and x.grad.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("stride", [1, 2])
 def test_fd_depthwise(stride):
     x = rand(2, 3, 5, 5, seed=22)

@@ -278,6 +278,18 @@ def _per_epoch_dice(manifest, seed):
     return val, test
 
 
+def test_ablate_makes_its_output_directory_before_training(tmp_path, dataset, monkeypatch,
+                                                           capsys):
+    calls = []
+    monkeypatch.setattr(cli, "run_ablation", lambda *args, **kwargs: calls.append(args))
+    (tmp_path / "plain").write_text("")
+    blocked = str(tmp_path / "plain" / "x.csv")  # its directory is a regular file
+    assert run(["ablate", "--data", str(dataset), "--out", blocked]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and blocked in err and "--out" in err
+    assert calls == []
+
+
 def _scripted_val(monkeypatch, val_dice):
     """Make run_ablation see the given val Dice, epoch by epoch."""
     script = iter(val_dice)
