@@ -256,6 +256,18 @@ def test_ablate_grid(tmp_path, dataset):
     assert macs["med+pla"] > macs["med"]
 
 
+def test_ablate_makes_its_output_directory_before_training(tmp_path, dataset, monkeypatch,
+                                                           capsys):
+    calls = []
+    monkeypatch.setattr(cli, "run_ablation", lambda *args, **kwargs: calls.append(args))
+    (tmp_path / "plain").write_text("")
+    blocked = str(tmp_path / "plain" / "x.csv")  # its directory is a regular file
+    assert run(["ablate", "--data", str(dataset), "--out", blocked]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and blocked in err and "--out" in err
+    assert calls == []
+
+
 MED_ONLY = [("med", {"attention_variant": "none", "decoder_kind": "mobile"})]
 ABLATE_MODEL = dict(levels=2, base_channels=4, input_size=(16, 16))
 ABLATE_TRAIN = dict(epochs=4, batch_size=4)
@@ -276,18 +288,6 @@ def _per_epoch_dice(manifest, seed):
         val.append(evaluate(model, manifest, "val").mean_dice)
         test.append(evaluate(model, manifest, "test").mean_dice)
     return val, test
-
-
-def test_ablate_makes_its_output_directory_before_training(tmp_path, dataset, monkeypatch,
-                                                           capsys):
-    calls = []
-    monkeypatch.setattr(cli, "run_ablation", lambda *args, **kwargs: calls.append(args))
-    (tmp_path / "plain").write_text("")
-    blocked = str(tmp_path / "plain" / "x.csv")  # its directory is a regular file
-    assert run(["ablate", "--data", str(dataset), "--out", blocked]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("data error:") and blocked in err and "--out" in err
-    assert calls == []
 
 
 def _scripted_val(monkeypatch, val_dice):
