@@ -10,12 +10,34 @@ The four conv ops share one operand check (``_conv_operands``); the transposed
 conv takes only stride == k, so its k x k output tiles never overlap.  The
 default dtype is float32; gradient-check code switches to float64 with
 ``using_dtype(np.float64)``.
+
+``depthwise_conv2d`` runs every kernel tap as one contiguous run.  Each
+zero-padded plane is split into its s x s stride phases: phase (a, b) holds
+rows a, a+s, ... and columns b, b+s, ... as an (Hs, Ws) plane, and at
+stride 1 it is the padded plane itself.  All phases of all planes sit in one
+contiguous (N*C, s*s, Hs+1, Ws) array, filled straight from x.  Output (r, q)
+of tap (i, j) reads phase (i mod s, j mod s) at (i//s + r, j//s + q), so with
+the phase flattened the tap covers every output in one run of Ho*Ws entries
+from (i//s)*Ws + j//s.  That run lands on a wide (Ho, Ws) grid whose first Wo
+columns are the output; the spare zero row of each phase takes the last tap's
+overrun.  The N*C planes go through in row blocks of about 384 KiB of wide
+output, so a block's phase rows, accumulator and temporary stay in cache
+across all k*k taps, and every output gets the same products added in the
+same tap order as one strided pass per tap over the whole array would give
+it.  The input gradient takes the same runs the other way: g, on the wide
+grid with zero columns and zeros around, is multiplied by each tap's kernel
+column and added in tap order into a zeroed phase-gradient plane, which is
+cropped into the x gradient.  The wide columns add +-0 to sums that start at
++0.  Under round-to-nearest such a sum is never -0 (x + y is -0 only when
+both are), and adding +-0 to anything but -0 changes no bit, so every
+gradient bit is the one a per-tap scatter gives.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -502,6 +524,35 @@ def _tap(i: int, j: int, ho: int, wo: int, stride: int) -> tuple:
             slice(j, j + (wo - 1) * stride + 1, stride))
 
 
+# Wide depthwise output per row block of planes: small enough that a block's
+# accumulator, temporary and phase rows stay in a core's L2 across the taps.
+_DW_BLOCK_BYTES = 384 * 1024
+
+
+@lru_cache(maxsize=64)
+def _phase_plan(h: int, w: int, k: int, stride: int, padding: int):
+    """Where a k x k depthwise conv over zero-padded (h, w) planes reads, once
+    they are split into stride x stride phases of (hs, ws).  Returns hs, ws,
+    the last tap's run start ``last``, per tap its phase and flat runs (forward
+    over the phase, backward over g placed at ``last``), and per phase q the
+    rows and columns of the unpadded plane it holds (xr, xc) and where they sit
+    in the phase (ur, uc)."""
+    s, p = stride, padding
+    ho, wo = _conv_out_hw((h, w), k, s, p)
+    hs, ws = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
+    last = (k - 1) // s * (ws + 1)
+    taps = tuple(((i % s) * s + j % s, slice(st, st + ho * ws), slice(last - st, last - st + hs * ws))
+                 for i, j in np.ndindex(k, k) for st in [(i // s) * ws + j // s])
+
+    def axis(a, size):
+        u0 = max(0, -((a - p) // s))  # the phase's first index inside the plane
+        r0 = a + s * u0 - p
+        return slice(r0, size, s), slice(u0, u0 + len(range(r0, size, s)))
+
+    phases = tuple((q, *axis(a, h), *axis(b, w)) for q, (a, b) in enumerate(np.ndindex(s, s)))
+    return hs, ws, last, taps, phases
+
+
 def _gather(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
     """Contiguous (N,Ho,Wo,C,k,k) copy of the kxk taps of a padded (N,C,H,W) array."""
     n, c = xp.shape[:2]
@@ -589,33 +640,63 @@ def depthwise_conv2d(x, kernel_d, stride: int = 1, padding: int = 0, *, bias=Non
         raise ShapeError(f"depthwise_conv2d kernel must be (C,1,k,k), got {kernel_d.shape}")
     n, c, h, w = x.shape
     k = kernel_d.shape[2]
+    hs, ws, last, taps, phases = _phase_plan(h, w, k, stride, padding)
+    planes, ss = n * c, stride * stride
+    rows = min(planes, max(1, _DW_BLOCK_BYTES // (ho * ws * x.data.itemsize)))
 
-    # a per-tap multiply-accumulate: a gathered (k*k)-fold copy of the expanded
-    # activations would dominate memory at full resolution.  Backward pads again.
-    xp = _pad2d(x.data, padding)
-    kd = kernel_d.data[:, 0]
-    out_data = np.empty((n, c, ho, wo), dtype=xp.dtype)
-    tmp = np.empty_like(out_data)
-    for t, (i, j) in enumerate(np.ndindex(k, k)):
-        np.multiply(xp[_tap(i, j, ho, wo, stride)], kd[None, :, i, j, None, None],
-                    out=tmp if t else out_data)
-        if t:
-            out_data += tmp
+    # per row block of planes: a per-tap multiply-accumulate over flat runs of
+    # the block's phase planes into a wide (Ho, Ws) grid, whose first Wo
+    # columns are the output (module docstring); kcols[t] is tap t's kernel
+    # column, one entry per N*C plane
+    kcols = np.concatenate((kernel_d.data.reshape(c, k * k),) * n).T[:, :, None]
+    x3 = x.data.reshape(planes, h, w)
+    out_data = np.empty((n, c, ho, wo), dtype=x.data.dtype)
+    out3 = out_data.reshape(planes, ho, wo)
+    ph = np.zeros((planes, ss, hs + 1, ws), dtype=x.data.dtype)  # a spare zero row per phase
+    for q, xr, ur, xc, uc in phases:
+        ph[:, q, ur, uc] = x3[:, xr, xc]
+    flat = ph.reshape(planes, ss, -1)
+    acc = np.empty((rows, ho, ws), dtype=x.data.dtype)
+    tmp = np.empty((rows, ho * ws), dtype=x.data.dtype)
+    for b0 in range(0, planes, rows):
+        blk, nb = slice(b0, b0 + rows), min(rows, planes - b0)
+        a, tb = acc[:nb].reshape(nb, -1), tmp[:nb]
+        for t, ((q, run, _), kc) in enumerate(zip(taps, kcols[:, blk])):
+            np.multiply(flat[blk, q, run], kc, out=tb if t else a)
+            if t:
+                a += tb
+        out3[blk] = acc[:nb, :, :wo]
 
     def bw(g):
         xp = _pad2d(x.data, padding)
         gk = np.empty((c, k, k), dtype=g.dtype)
-        gxp = np.zeros_like(xp) if x.requires_grad else None
-        prod = np.empty_like(g)
         for i, j in np.ndindex(k, k):
-            tap = _tap(i, j, ho, wo, stride)
-            gk[:, i, j] = np.einsum("nchw,nchw->c", g, xp[tap], optimize=False)
-            if gxp is not None:
-                np.multiply(g, kd[None, :, i, j, None, None], out=prod)
-                gxp[tap] += prod
+            gk[:, i, j] = np.einsum("nchw,nchw->c", g, xp[_tap(i, j, ho, wo, stride)], optimize=False)
+        del xp  # the input gradient needs no padded copy
         accumulate_grad(kernel_d, gk[:, None])
-        if gxp is not None:
-            accumulate_grad(x, gxp[:, :, padding:padding + h, padding:padding + w])
+        if not x.requires_grad:
+            return
+        # each tap's run of g, on the wide grid and zero elsewhere, is added in
+        # tap order into its zeroed phase-gradient plane, which is then cropped
+        # straight into gx
+        gx = np.empty(x.shape, dtype=x.data.dtype)
+        gx3 = gx.reshape(planes, h, w)
+        gext = np.zeros((rows, last + hs * ws), dtype=g.dtype)
+        gwin = gext[:, last:last + ho * ws].reshape(rows, ho, ws)[:, :, :wo]
+        gtmp = np.empty((rows, hs * ws), dtype=g.dtype)
+        gph = np.empty((ss, rows, hs * ws), dtype=x.data.dtype)
+        g3 = g.reshape(planes, ho, wo)
+        for b0 in range(0, planes, rows):
+            blk, nb = slice(b0, b0 + rows), min(rows, planes - b0)
+            gwin[:nb] = g3[blk]
+            tb = gtmp[:nb]
+            gph[:, :nb] = 0
+            for (q, _, run), kc in zip(taps, kcols[:, blk]):
+                np.multiply(gext[:nb, run], kc, out=tb)
+                gph[q, :nb] += tb
+            for q, xr, ur, xc, uc in phases:
+                gx3[blk, xr, xc] = gph[q, :nb].reshape(nb, hs, ws)[:, ur, uc]
+        accumulate_grad(x, gx)
 
     return _conv_node(out_data, (x, kernel_d), bias, relu6, bw)
 

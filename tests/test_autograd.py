@@ -1,6 +1,7 @@
 """Backward-pass correctness: finite differences on every op, tape semantics."""
 
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,119 @@ def test_fd_depthwise(stride):
     kd = rand(3, 1, 3, 3, seed=23, scale=0.5)
     check_gradients(lambda: T.tsum(T.mul(T.depthwise_conv2d(x, kd, stride, 1),
                                          T.depthwise_conv2d(x, kd, stride, 1))), [x, kd])
+
+
+def _depthwise_reference(x, kd, bias, stride, padding, upstream):
+    """depthwise_conv2d as the op once computed it, with ``bias=`` and
+    ``relu6=True`` unless ``bias`` is None: one strided pass over the whole
+    padded input per kernel tap, forward and backward.  Returns the output and
+    the x, kernel and bias gradients."""
+    n, c, h, w = x.shape
+    k = kd.shape[2]
+    ho, wo = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), x.dtype)
+    xp[:, :, padding:padding + h, padding:padding + w] = x
+
+    def tap(i, j):
+        return (slice(None), slice(None), slice(i, i + (ho - 1) * stride + 1, stride),
+                slice(j, j + (wo - 1) * stride + 1, stride))
+
+    out = np.empty((n, c, ho, wo), x.dtype)
+    tmp = np.empty_like(out)
+    for t, (i, j) in enumerate(np.ndindex(k, k)):
+        np.multiply(xp[tap(i, j)], kd[None, :, 0, i, j, None, None], out=tmp if t else out)
+        if t:
+            out += tmp
+    g, gb = upstream, None
+    if bias is not None:
+        out += bias
+        np.maximum(out, 0, out=out)
+        np.minimum(out, 6, out=out)
+        g = upstream * ((out > 0) & (out < 6))
+        gb = g.sum(axis=0).sum(axis=(1, 2), keepdims=True)
+    gk = np.empty((c, k, k), g.dtype)
+    gxp = np.zeros_like(xp)
+    prod = np.empty_like(g)
+    for i, j in np.ndindex(k, k):
+        gk[:, i, j] = np.einsum("nchw,nchw->c", g, xp[tap(i, j)], optimize=False)
+        np.multiply(g, kd[None, :, 0, i, j, None, None], out=prod)
+        gxp[tap(i, j)] += prod
+    return out, gxp[:, :, padding:padding + h, padding:padding + w], gk[:, None], gb
+
+
+def _check_depthwise_bitwise(shape, k, stride, padding, dtype, x_grad=True, fused=True):
+    rng = np.random.default_rng(33)
+    x = Tensor(rng.standard_normal(shape) * 3, requires_grad=x_grad, dtype=dtype)
+    x.data[:, :, :5] = 0.0  # an all-zero band, as after a ReLU6
+    kd = Tensor(rng.standard_normal((shape[1], 1, k, k)), requires_grad=True, dtype=dtype)
+    kd.data[0] = -np.abs(kd.data[0])  # so channel 0's band sums to -0
+    b = Tensor(rng.standard_normal((shape[1], 1, 1)), requires_grad=True, dtype=dtype) if fused else None
+    out = T.depthwise_conv2d(x, kd, stride, padding, bias=b, relu6=fused)
+    upstream = rng.standard_normal(out.shape).astype(dtype)
+    upstream[upstream > 1.0] = -0.0
+    upstream[upstream < -1.0] = 0.0
+    T.backward(T.tsum(T.mul(out, Tensor(upstream, dtype=dtype))))
+    want = _depthwise_reference(x.data, kd.data, None if b is None else b.data, stride, padding, upstream)
+    got = (out.data, x.grad, kd.grad, None if b is None else b.grad)
+    if fused:
+        assert 0 < np.count_nonzero((out.data > 0) & (out.data < 6)) < out.data.size
+    else:
+        assert np.any((out.data == 0) & np.signbit(out.data))
+    for what, g, wnt in zip(("output", "x grad", "kernel grad", "bias grad"), got, want):
+        if (what == "x grad" and not x_grad) or (what == "bias grad" and not fused):
+            assert g is None
+            continue
+        assert g.dtype == wnt.dtype == dtype, what
+        assert g.shape == wnt.shape and g.tobytes() == wnt.tobytes(), what
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(2, 8, 32, 32), (2, 3, 17, 15)])
+@pytest.mark.parametrize("k,padding", [(1, 0), (1, 1), (3, 0), (3, 1)])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_depthwise_equals_per_tap_reference_bitwise(stride, k, padding, shape, dtype):
+    _check_depthwise_bitwise(shape, k, stride, padding, dtype)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_depthwise_bitwise_without_input_gradient(stride):
+    _check_depthwise_bitwise((2, 3, 17, 15), 3, stride, 1, np.float32, x_grad=False)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_depthwise_bitwise_without_bias_or_clamp(stride, dtype):
+    # the zero band's outputs are sums of signed zeros, so they check where the
+    # tap sum starts as well as its order
+    _check_depthwise_bitwise((2, 3, 17, 15), 3, stride, 1, dtype, fused=False)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_depthwise_bitwise_over_small_row_blocks(stride, monkeypatch):
+    # ten planes in blocks of four: two full blocks and a ragged block of two
+    shape, itemsize = (2, 5, 9, 12), 8
+    ho, ws = (9 + 2 - 3) // stride + 1, -(-(12 + 2) // stride)
+    monkeypatch.setattr(T, "_DW_BLOCK_BYTES", 4 * ho * ws * itemsize)
+    _check_depthwise_bitwise(shape, 3, stride, 1, np.float64)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_depthwise_backward_memory(stride):
+    """The backward holds no full-size temporary beyond the padded input its
+    kernel gradient reads, a phase-gradient's worth and the new x gradient."""
+    n, c, h, w = 2, 32, 128, 128
+    rng = np.random.default_rng(34)
+    x = Tensor(rng.standard_normal((n, c, h, w)), requires_grad=True, dtype=np.float32)
+    kd = Tensor(rng.standard_normal((c, 1, 3, 3)), requires_grad=True, dtype=np.float32)
+    out = T.depthwise_conv2d(x, kd, stride, 1)
+    tracemalloc.start()
+    try:
+        T.backward(T.tsum(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    padded = n * c * (h + 2) * (w + 2) * 4
+    assert peak <= out.data.nbytes + 2 * padded + x.data.nbytes + 2**20
 
 
 def test_fd_pointwise():
