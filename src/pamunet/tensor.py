@@ -644,8 +644,8 @@ def depthwise_conv2d(x, kernel_d, stride: int = 1, padding: int = 0, *, bias=Non
     planes, ss = n * c, stride * stride
     rows = min(planes, max(1, _DW_BLOCK_BYTES // (ho * ws * x.data.itemsize)))
 
-    # per row block of planes: a per-tap multiply-accumulate over flat runs of
-    # the block's phase planes into a wide (Ho, Ws) grid, whose first Wo
+    # one row block of planes at a time: a per-tap multiply-accumulate over
+    # flat runs of the phase planes into a wide (Ho, Ws) grid, whose first Wo
     # columns are the output (module docstring); kcols[t] is tap t's kernel
     # column, one entry per N*C plane
     kcols = np.concatenate((kernel_d.data.reshape(c, k * k),) * n).T[:, :, None]

@@ -304,8 +304,9 @@ def test_depthwise_bitwise_over_small_row_blocks(stride, monkeypatch):
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_depthwise_backward_memory(stride):
-    """The backward holds no full-size temporary beyond the padded input its
-    kernel gradient reads, a phase-gradient's worth and the new x gradient."""
+    """The backward holds at most the upstream gradient, two padded-input-sized
+    arrays (the padded input the kernel gradient reads, and room for one more)
+    and the new x gradient: no full-size product or cropped copy."""
     n, c, h, w = 2, 32, 128, 128
     rng = np.random.default_rng(34)
     x = Tensor(rng.standard_normal((n, c, h, w)), requires_grad=True, dtype=np.float32)
