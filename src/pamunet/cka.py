@@ -46,24 +46,29 @@ def capture(model, probe_batch: Tensor, model_tag: str = "model") -> ActivationS
     return ActivationSet(model_tag=model_tag, layers=layers)
 
 
-def cka_linear(x: np.ndarray, y: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2:
+def _centred_grams(*mats) -> list[tuple[np.ndarray, float]]:
+    """Each matrix's centred Gram and its norm; all must be 2-D with one row
+    count of at least 2."""
+    mats = [np.asarray(m, dtype=np.float64) for m in mats]
+    if any(m.ndim != 2 for m in mats):
         raise ValueError("cka_linear expects 2-D (samples, features) matrices")
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(f"row counts differ: {x.shape[0]} vs {y.shape[0]}")
-    if x.shape[0] < 2:
+    counts = list(dict.fromkeys(m.shape[0] for m in mats))
+    if len(counts) > 1:
+        raise ValueError("row counts differ: " + " vs ".join(map(str, counts)))
+    if counts[0] < 2:
         raise ValueError("cka needs at least 2 samples")
-    xc = x - x.mean(axis=0)
-    yc = y - y.mean(axis=0)
-    kx = xc @ xc.T
-    ky = yc @ yc.T
-    num = float((kx * ky).sum())
-    den = float(np.linalg.norm(kx) * np.linalg.norm(ky))
-    if den == 0.0:
-        return 0.0
-    return num / den
+    centred = [m - m.mean(axis=0) for m in mats]
+    return [(k, np.linalg.norm(k)) for k in (c @ c.T for c in centred)]
+
+
+def _cka(gram_x, gram_y) -> float:
+    (kx, norm_x), (ky, norm_y) = gram_x, gram_y
+    den = float(norm_x * norm_y)
+    return float((kx * ky).sum()) / den if den else 0.0
+
+
+def cka_linear(x: np.ndarray, y: np.ndarray) -> float:
+    return _cka(*_centred_grams(x, y))
 
 
 @dataclass
@@ -86,10 +91,10 @@ def cka_matrix(a: ActivationSet, b: ActivationSet) -> CKAMatrix:
         raise ValueError(
             f"activation sets were captured on different probe batches: "
             f"{a.n_samples} vs {b.n_samples} samples")
-    rows = list(a.layers)
-    cols = list(b.layers)
+    rows, cols = list(a.layers), list(b.layers)
+    grams = _centred_grams(*a.layers.values(), *b.layers.values())
     values = np.empty((len(rows), len(cols)))
-    for i, ra in enumerate(rows):
-        for j, cb in enumerate(cols):
-            values[i, j] = cka_linear(a.layers[ra], b.layers[cb])
+    for i, ga in enumerate(grams[:len(rows)]):
+        for j, gb in enumerate(grams[len(rows):]):
+            values[i, j] = _cka(ga, gb)
     return CKAMatrix(row_layers=rows, col_layers=cols, values=values)

@@ -5,6 +5,9 @@ array (canonical image layout N,C,H,W).  Operations record closures onto a
 thread-local tape; ``backward(loss)`` replays the tape in reverse, accumulates
 gradients into every ``requires_grad`` tensor reachable from the loss, and
 then drops the tape.  There is no support for higher-order gradients.
+Each thread keeps its tape, its recording switch and its default dtype in one
+``threading.local`` object, ``_STATE``; ``no_grad`` and ``using_dtype`` set
+one of its fields for the length of a block.
 
 The four conv ops share one operand check (``_conv_operands``); the transposed
 conv takes only stride == k, so its k x k output tiles never overlap.  The
@@ -51,61 +54,46 @@ class GradError(RuntimeError):
     """Raised on invalid backward calls (non-scalar loss, dead tape)."""
 
 
-_DTYPE = threading.local()
-
-
-def default_dtype():
-    return getattr(_DTYPE, "value", np.float32)
-
-
-def set_default_dtype(dtype) -> None:
-    _DTYPE.value = np.dtype(dtype).type
-
-
-@contextmanager
-def using_dtype(dtype):
-    """Temporarily switch the dtype used for newly created tensors."""
-    old = default_dtype()
-    set_default_dtype(dtype)
-    try:
-        yield
-    finally:
-        set_default_dtype(old)
-
-
-class Tape:
-    """Ordered record of one forward pass.
-
-    Nodes are appended in creation order, which is automatically a topological
-    order (inputs exist before their consumers).  ``generation`` increments
-    each time the tape is consumed so stale tensors can be detected.
-    """
+class _State(threading.local):
+    """One thread's autodiff state.  The tape's ``nodes`` are appended in
+    creation order, which is a topological order (inputs exist before their
+    consumers); its ``generation`` increments each time it is consumed, so a
+    stale loss is detected.  ``grad_enabled`` switches recording, and
+    ``dtype`` is the dtype of new tensors."""
 
     def __init__(self):
         self.nodes: list[tuple[tuple[Tensor, ...], callable]] = []
         self.generation = 0
+        self.grad_enabled = True
+        self.dtype = np.float32
 
 
-_STATE = threading.local()
-
-
-def _tls():
-    if not hasattr(_STATE, "tape"):
-        _STATE.tape = Tape()
-        _STATE.grad_enabled = True
-    return _STATE
+_STATE = _State()
 
 
 @contextmanager
-def no_grad():
-    """Disable tape recording inside the block (inference / FD loops)."""
-    st = _tls()
-    old = st.grad_enabled
-    st.grad_enabled = False
+def _setting(field: str, value):
+    """Set one field of this thread's state inside the block, then restore it."""
+    old = getattr(_STATE, field)
+    setattr(_STATE, field, value)
     try:
         yield
     finally:
-        st.grad_enabled = old
+        setattr(_STATE, field, old)
+
+
+def default_dtype():
+    return _STATE.dtype
+
+
+def using_dtype(dtype):
+    """Temporarily switch the dtype used for newly created tensors."""
+    return _setting("dtype", np.dtype(dtype).type)
+
+
+def no_grad():
+    """Disable tape recording inside the block (inference / FD loops)."""
+    return _setting("grad_enabled", False)
 
 
 class Tensor:
@@ -114,7 +102,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_gen")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype or default_dtype())
+        self.data = np.asarray(data, dtype=dtype or _STATE.dtype)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._gen: int = -1  # generation of the tape that recorded it; -1 until recorded
@@ -171,11 +159,9 @@ def record_op(backward_fn, outputs: Sequence[Tensor]) -> None:
     caller; the function keeps its own public name because perfbench's tracer
     wraps ``tensor.record_op`` to count tape nodes and time each backward.
     """
-    st = _tls()
-    tape = st.tape
-    tape.nodes.append((tuple(outputs), backward_fn))
+    _STATE.nodes.append((tuple(outputs), backward_fn))
     for o in outputs:
-        o._gen = tape.generation
+        o._gen = _STATE.generation
 
 
 def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
@@ -197,7 +183,7 @@ def _out(data, inputs, backward_fn):
     """Wrap an op's result, one array or a tuple of arrays, as tensors, and
     record ``backward_fn`` as one tape node when recording is on and any of
     ``inputs`` (``None`` entries allowed) requires grad."""
-    track = _tls().grad_enabled and any(t is not None and t.requires_grad for t in inputs)
+    track = _STATE.grad_enabled and any(t is not None and t.requires_grad for t in inputs)
     several = type(data) is tuple
     outs = tuple(Tensor._wrap(d, track) for d in data) if several else (Tensor._wrap(data, track),)
     if track:
@@ -209,12 +195,10 @@ def backward(loss: Tensor) -> None:
     """Reverse sweep from a scalar loss; consumes and drops the tape."""
     if loss.data.size != 1:
         raise GradError(f"backward needs a scalar loss, got shape {loss.shape}")
-    st = _tls()
-    tape = st.tape
-    if loss._gen != tape.generation:
+    if loss._gen != _STATE.generation:
         raise GradError("loss is not attached to a live tape (tape already consumed, or recording was off)")
     loss.grad = np.ones_like(loss.data)
-    for outputs, fn in reversed(tape.nodes):
+    for outputs, fn in reversed(_STATE.nodes):
         if len(outputs) == 1:
             g = outputs[0].grad
             if g is not None:
@@ -223,15 +207,13 @@ def backward(loss: Tensor) -> None:
             gs = tuple(o.grad for o in outputs)
             if any(g is not None for g in gs):
                 fn(gs)
-    tape.nodes.clear()
-    tape.generation += 1
+    reset_tape()
 
 
 def reset_tape() -> None:
     """Drop any recorded nodes without running backward."""
-    st = _tls()
-    st.tape.nodes.clear()
-    st.tape.generation += 1
+    _STATE.nodes.clear()
+    _STATE.generation += 1
 
 
 def _as_tensor(x) -> Tensor:
@@ -240,14 +222,23 @@ def _as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
-def _coerce_pair(a, b) -> tuple[Tensor, Tensor]:
+def _operands(a, b) -> tuple[Tensor, Tensor]:
     """Wrap scalars/arrays as tensors, matching the other operand's dtype so a
-    python-float constant never degrades a float64 computation."""
+    python-float constant never degrades a float64 computation, and check that
+    the two shapes broadcast."""
     if isinstance(a, Tensor):
-        return a, (b if isinstance(b, Tensor) else Tensor(b, dtype=a.data.dtype))
-    if isinstance(b, Tensor):
-        return Tensor(a, dtype=b.data.dtype), b
-    return Tensor(a), Tensor(b)
+        b = b if isinstance(b, Tensor) else Tensor(b, dtype=a.data.dtype)
+    elif isinstance(b, Tensor):
+        a = Tensor(a, dtype=b.data.dtype)
+    else:
+        a, b = Tensor(a), Tensor(b)
+    for i, (da, db) in enumerate(zip(a.shape[::-1], b.shape[::-1])):
+        if da != db and da != 1 and db != 1:
+            raise ShapeError(
+                f"shapes {a.shape} and {b.shape} are not broadcastable: "
+                f"axis -{i + 1} has sizes {da} and {db}"
+            )
+    return a, b
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -261,20 +252,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _check_broadcast(a: Tensor, b: Tensor) -> None:
-    for i, (da, db) in enumerate(zip(a.shape[::-1], b.shape[::-1])):
-        if da != db and da != 1 and db != 1:
-            raise ShapeError(
-                f"shapes {a.shape} and {b.shape} are not broadcastable: "
-                f"axis -{i + 1} has sizes {da} and {db}"
-            )
-
-
 # -- elementwise -----------------------------------------------------------
 
 def add(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b)
-    _check_broadcast(a, b)
+    a, b = _operands(a, b)
 
     def bw(g):
         accumulate_grad(a, _unbroadcast(g, a.shape))
@@ -284,8 +265,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b)
-    _check_broadcast(a, b)
+    a, b = _operands(a, b)
 
     def bw(g):
         accumulate_grad(a, _unbroadcast(g, a.shape))
@@ -295,8 +275,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b)
-    _check_broadcast(a, b)
+    a, b = _operands(a, b)
 
     def bw(g):
         accumulate_grad(a, _unbroadcast(g * b.data, a.shape))
@@ -324,9 +303,9 @@ def clamp(x, lo: float, hi: float) -> Tensor:
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
     d = x.data
-    out_data = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                        np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-    out_data = out_data.astype(d.dtype, copy=False)
+    e = np.exp(-np.abs(d))
+    den = 1.0 + e
+    out_data = np.where(d >= 0, 1.0 / den, e / den).astype(d.dtype, copy=False)
 
     def bw(g):
         accumulate_grad(x, g * out_data * (1.0 - out_data))

@@ -2,6 +2,7 @@
 
 import contextlib
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -66,12 +67,33 @@ NO_GRAD_OPS = {
 def test_no_grad_blocks_recording(op, under_no_grad):
     rng = np.random.default_rng(0)
     q, k, v = (Tensor(rng.standard_normal((1, 4, 2)), requires_grad=under_no_grad) for _ in range(3))
-    nodes = T._tls().tape.nodes
+    nodes = T._STATE.nodes
     before = len(nodes)
     with T.no_grad() if under_no_grad else contextlib.nullcontext():
         outs = op(q, k, v)
     assert len(nodes) == before
     assert all(not o.requires_grad for o in outs)
+
+
+def test_tape_switch_and_dtype_are_per_thread():
+    w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    loss = T.tsum(T.mul(w, w))
+    recorded = len(T._STATE.nodes)
+
+    def worker():
+        v = Tensor(np.array([1.0, 1.0]), requires_grad=True)
+        T.backward(T.tsum(T.mul(v, 2.0)))
+        return v.dtype, v.grad
+
+    with T.no_grad(), T.using_dtype(np.float64):
+        assert Tensor(0.0).dtype == np.float64
+        with ThreadPoolExecutor(1) as pool:
+            dtype, grad = pool.submit(worker).result(timeout=60)
+    assert dtype == np.float32 and grad.dtype == np.float32
+    np.testing.assert_array_equal(grad, [2.0, 2.0])
+    assert len(T._STATE.nodes) == recorded
+    T.backward(loss)
+    np.testing.assert_array_equal(w.grad, [2.0, 4.0])
 
 
 def test_grad_accumulates_across_reuse():

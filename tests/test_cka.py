@@ -104,7 +104,7 @@ def test_cka_matrix_diagonal_and_composition():
     np.testing.assert_allclose(np.diag(mat.values), 1.0, atol=1e-6)
     for i, ra in enumerate(mat.row_layers):
         for j, cb in enumerate(mat.col_layers):
-            assert mat.values[i, j] == pytest.approx(cka_linear(layers[ra], layers[cb]))
+            assert mat.values[i, j] == cka_linear(layers[ra], layers[cb])
 
 
 def test_cka_matrix_rejects_mismatched_batches():
