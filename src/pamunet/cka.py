@@ -57,8 +57,8 @@ def _centred_grams(*mats) -> list[tuple[np.ndarray, float]]:
         raise ValueError("row counts differ: " + " vs ".join(map(str, counts)))
     if counts[0] < 2:
         raise ValueError("cka needs at least 2 samples")
-    centred = [m - m.mean(axis=0) for m in mats]
-    return [(k, np.linalg.norm(k)) for k in (c @ c.T for c in centred)]
+    grams = [c @ c.T for c in (m - m.mean(axis=0) for m in mats)]  # one centred copy at a time
+    return [(k, np.linalg.norm(k)) for k in grams]
 
 
 def _cka(gram_x, gram_y) -> float:

@@ -15,9 +15,10 @@ change that moves criterion-8 bits can be judged on more than one draw:
 
 For each dataset it prints MED and PLA Dice and their paired difference per
 seed, then the mean, sample standard deviation and count of positive
-differences over seeds 0-2, 3-5 and 0-5.  That is 48 trainings; it takes about
-20 minutes on two cores.  It pins OpenBLAS to one thread unless the caller sets
-``OPENBLAS_NUM_THREADS``, so a rerun on one machine repeats every figure:
+differences over seeds 0-2, 3-5 and 0-5.  That is 48 trainings, about 13
+minutes on a 2-core x86_64 host.  It pins OpenBLAS to one thread unless the
+caller sets ``OPENBLAS_NUM_THREADS``, so a rerun on one machine repeats every
+figure:
 
     PYTHONPATH=src python3 tools/heldout.py
 """
