@@ -24,11 +24,15 @@ Every gate attends through one kernel, :func:`scaled_dot_attention_streaming`:
 one tape node for softmax(scores) V with either scorer.  Its second output is
 the gate's regularizer entry, chosen by the per-sample map size
 ``Lq*Lk*itemsize``: up to ``MATERIALIZE_BYTES`` the (N, Lq, Lk) map on the
-tape; beyond it the variance of query blocks that backward recomputes, from one
-sum of squares, as each row's mean is 1/Lk.  A sample takes the same path at
-every batch size.  A ``maps`` list, when passed, gets every gate's map appended,
-streamed or not; no gate keeps a map after its forward.  The projection gates
-share one FLOPs rule, ``_GateBase.mac_sites``; ``PLAGate`` yields its own rows.
+tape; beyond it the variance of the weights, streamed in query blocks.  That
+path stores each query row's log-sum-exp and sum(w^2), never a block: backward
+recomputes a block's weights with one exp, and takes the softmax's row term from
+the output, rowsum(dO * O), plus the variance's share of sum(w^2), so it needs
+no rowsum(gw * w) over the block.  The variance needs only the sum of squares,
+as each row's mean is 1/Lk.  A sample takes the same path at every batch size.
+A ``maps`` list, when passed, gets every gate's map appended, streamed or not;
+no gate keeps a map after its forward.  The projection gates share one FLOPs
+rule, ``_GateBase.mac_sites``; ``PLAGate`` yields its own rows.
 """
 
 from __future__ import annotations
@@ -54,14 +58,18 @@ def to_sequence(x: Tensor) -> Tensor:
 
 def _dot_scorer(q: Tensor, k: Tensor, whole: bool):
     """Scores Q K^T / sqrt(d) of query rows lo:hi, and their backward over (lo,
-    score gradient) blocks.  Same-seed bits rest on its rounding and layouts: it
-    scales each block before both products, passes q's gradient in C order, and
-    sums k's as (N, d, Lk), passed transposed if ``whole``, else in C order."""
+    score gradient) blocks.  Same-seed bits rest on its rounding and layouts:
+    scores scale the product in place; backward scales each gradient block
+    before both of its products, passes q's gradient in C order, and sums k's
+    as (N, d, Lk), passed as that array's transpose if ``whole``, else copied
+    to C order."""
     qd, kd = q.data, k.data
     scale = 1.0 / math.sqrt(qd.shape[-1])
 
     def scores(lo, hi):
-        return (qd[:, lo:hi] @ kd.swapaxes(1, 2)) * scale
+        s = qd[:, lo:hi] @ kd.swapaxes(1, 2)
+        s *= scale
+        return s
 
     def backward(blocks):
         gq = np.empty(qd.shape, qd.dtype)
@@ -140,59 +148,113 @@ def scaled_dot_attention_streaming(q: Tensor, k: Tensor, v: Tensor, chunk: int =
     are Q K^T / sqrt(d), or score_v . tanh(q + k) given a (d,) ``score_v``.  With
     ``keep_map`` all query rows are one block and the second output is the
     (N,Lq,Lk) weight map, whose gradient (say from ``T.variance``) joins the
-    kernel's own.  Otherwise query rows go in blocks of ``chunk``, backward
-    recomputes their weights, and the second output is the population variance
-    of all weight entries, mean(w^2) - 1/Lk^2: every row sums to 1, so the mean
-    is 1/Lk and the softmax backward cancels its shift.  A ``weights`` array
-    then receives each block.
+    kernel's own.  Otherwise query rows go in blocks of ``chunk`` and the second
+    output is the population variance of all weight entries, mean(w^2) - 1/Lk^2:
+    every row sums to 1, so the mean is 1/Lk and the softmax backward cancels its
+    shift.  A ``weights`` array then receives each block.
+
+    The streamed path is FlashAttention-2's (arXiv 2307.08691): forward keeps
+    only each row's log-sum-exp and its sum(w^2), and divides the (rows, c)
+    output, not the (rows, Lk) block, by the row sum.  Backward recomputes a
+    block's weights as exp(scores - lse).  Its softmax row term rowsum(gw * w)
+    is rowsum(dO * O) plus the variance's c * sum(w^2), as gw = dO V^T + c w
+    (FlashAttention, arXiv 2205.14135, App. B), so it is one (N, Lq, 1) array
+    taken once per call, not a product over each block.
     """
-    (n, lq, _), lk = q.shape, k.shape[1]
-    vd = v.data
     scores, score_backward = (_dot_scorer(q, k, keep_map) if score_v is None
                               else _tanh_scorer(q, k, score_v))
-    step = lq if keep_map else chunk
-    total = n * lq * lk
+    if keep_map:
+        data, bw = _attend_kept(scores, score_backward, v, q.shape[1], weights)
+    else:
+        data, bw = _attend_streamed(scores, score_backward, v, q.data.dtype, q.shape[1],
+                                    chunk, weights)
+    return T._out(data, (q, k, v, score_v), bw)
 
-    def weight_block(lo):
-        """Softmax weights of query rows lo:lo + step, normalized over the keys."""
-        s = scores(lo, lo + step)
-        s -= s.max(axis=2, keepdims=True)
-        np.exp(s, out=s)
-        s /= s.sum(axis=2, keepdims=True)
-        return s
 
-    out_data = np.empty((n, lq, vd.shape[-1]), dtype=q.data.dtype)
-    w_sumsq = 0.0
-    for lo in range(0, lq, step):
-        s = weight_block(lo)
-        if weights is not None:
-            weights[:, lo:lo + step] = s
-        out_data[:, lo:lo + step] = s @ vd
-        if not keep_map:
-            w_sumsq += float((s * s).sum(dtype=np.float64))
-    w_map = s if keep_map else None  # backward holds no streamed block
-    second = w_map if keep_map else np.asarray(w_sumsq / total - 1.0 / lk ** 2, dtype=q.data.dtype)
+def _attend_kept(scores, score_backward, v, lq, weights):
+    """The map-keeping kernel: all query rows in one block, map on the tape."""
+    vd = v.data
+    w = scores(0, lq)
+    w -= w.max(axis=2, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=2, keepdims=True)
+    if weights is not None:
+        weights[...] = w
+    out = w @ vd
 
     def bw(gs):
-        g_out, g_second = gs
-        g_out = np.zeros_like(out_data) if g_out is None else g_out
+        g_out, g_w = gs
+        g_out = np.zeros_like(out) if g_out is None else g_out
+        gw = g_out @ vd.swapaxes(1, 2)
+        if g_w is not None:
+            gw += g_w
+        gv = np.zeros(vd.shape, vd.dtype)
+        gv += w.swapaxes(1, 2) @ g_out
+        score_backward([(0, w * (gw - (gw * w).sum(axis=2, keepdims=True)))])
+        accumulate_grad(v, gv)
+
+    return (out, w), bw
+
+
+def _attend_streamed(scores, score_backward, v, dtype, lq, chunk, weights):
+    """The streamed kernel: query rows in blocks of ``chunk``, variance on the
+    tape; backward holds only the output, lse and sum(w^2) of each row."""
+    vd = v.data
+    n, lk, _ = vd.shape
+    out = np.empty((n, lq, vd.shape[-1]), dtype)
+    lse = np.empty((n, lq, 1), dtype)
+    w_sumsq = np.empty((n, lq, 1))  # float64
+    for lo in range(0, lq, chunk):
+        rows = slice(lo, lo + chunk)
+        e = scores(lo, lo + chunk)
+        m = e.max(axis=2, keepdims=True)
+        e -= m
+        np.exp(e, out=e)
+        l = e.sum(axis=2, keepdims=True)
+        np.divide(e @ vd, l, out=out[:, rows])
+        if weights is not None:
+            np.divide(e, l, out=weights[:, rows])
+        lse[:, rows] = m + np.log(l)
+        # float32 row sums of e^2 (einsum: no block-sized temporary) over l^2,
+        # divided in float64: a float32 division moves the variance by an ulp
+        w_sumsq[:, rows] = (np.einsum("nij,nij->ni", e, e)[..., None]
+                            / np.square(l, dtype=np.float64))
+    total = n * lq * lk
+    variance = np.asarray(w_sumsq.sum() / total - 1.0 / lk ** 2, dtype=dtype)
+
+    def bw(gs):
+        g_out, g_var = gs
+        c = 0.0 if g_var is None else float(g_var) * 2.0 / total
+        row_term = c * w_sumsq
+        if g_out is not None:
+            row_term += (g_out * out).sum(axis=2, keepdims=True, dtype=np.float64)
+        row_term = row_term.astype(dtype)
         gv = np.zeros(vd.shape, vd.dtype)
 
         def score_grads():
-            """(lo, score gradient) of each block, through the softmax."""
+            """(lo, score gradient) of each block: w * (gw - row term), where
+            gw = dO V^T + c w, built in place."""
             nonlocal gv
-            for lo in range(0, lq, step):
-                s = w_map if keep_map else weight_block(lo)
-                gw = g_out[:, lo:lo + step] @ vd.swapaxes(1, 2)
-                if g_second is not None:
-                    gw += g_second if keep_map else g_second * (2.0 / total) * s
-                gv += s.swapaxes(1, 2) @ g_out[:, lo:lo + step]
-                yield lo, s * (gw - (gw * s).sum(axis=2, keepdims=True))
+            for lo in range(0, lq, chunk):
+                rows = slice(lo, lo + chunk)
+                w = scores(lo, lo + chunk)
+                w -= lse[:, rows]
+                np.exp(w, out=w)
+                if g_out is None:
+                    gw = c * w
+                else:
+                    gv += w.swapaxes(1, 2) @ g_out[:, rows]
+                    gw = g_out[:, rows] @ vd.swapaxes(1, 2)
+                    if c:
+                        gw += c * w
+                gw -= row_term[:, rows]
+                gw *= w
+                yield lo, gw
 
         score_backward(score_grads())
         accumulate_grad(v, gv)
 
-    return T._out((out_data, second), (q, k, v, score_v), bw)
+    return (out, variance), bw
 
 
 # -- gates -------------------------------------------------------------------

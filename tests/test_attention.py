@@ -1,6 +1,7 @@
 """Attention gate tests: reference dot attention, gate variants, streaming path."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,71 @@ def test_streaming_weights_output_matches_materialized_map():
     np.testing.assert_allclose(weights, w.data, atol=1e-6)
     np.testing.assert_array_equal(out_w.data, out.data)
     assert var_w.item() == var.item()
+
+
+def _dot_inputs(shape_q, shape_k, c, seed):
+    rng = np.random.default_rng(seed)
+    return tuple(Tensor(rng.standard_normal(shape), requires_grad=True)
+                 for shape in (shape_q, shape_k, shape_k[:2] + (c,)))
+
+
+@pytest.mark.parametrize("used", ["output", "variance", "both"])
+def test_streamed_gradients_match_kept_map(used):
+    # a ragged chunk (7 rows in blocks of 3); "output" leaves the variance's
+    # gradient None, "variance" the output's
+    with T.using_dtype(np.float64):
+        q, k, v = _dot_inputs((2, 7, 3), (2, 5, 3), 4, seed=31)
+
+        def run(keep_map, weights=None):
+            out, second = A.scaled_dot_attention_streaming(q, k, v, chunk=3, weights=weights,
+                                                           keep_map=keep_map)
+            var = T.variance(second) if keep_map else second
+            terms = {"output": [T.mean(T.mul(out, out))], "variance": [T.mul(var, 3.0)]}
+            terms["both"] = terms["output"] + terms["variance"]
+            loss = terms[used][0] if len(terms[used]) == 1 else T.add(*terms[used])
+            T.backward(loss)
+            grads = [t.grad for t in (q, k, v)]
+            for t in (q, k, v):
+                t.zero_grad()
+            return out.data, var.item(), grads
+
+        out_kept, var_kept, grads_kept = run(keep_map=True)
+        out_stream, var_stream, grads_stream = run(keep_map=False)
+        weights = np.full((2, 7, 5), np.nan)
+        out_w, var_w, grads_w = run(keep_map=False, weights=weights)
+    np.testing.assert_allclose(out_stream, out_kept, rtol=0, atol=1e-12)
+    assert var_stream == pytest.approx(var_kept, abs=1e-12)
+    for got, want in zip(grads_stream, grads_kept):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+    # the export is each block's normalized exp(scores - max), and asking for
+    # it changes nothing else
+    scores, _ = A._dot_scorer(q, k, False)
+    for lo in range(0, 7, 3):
+        s = scores(lo, lo + 3)
+        s = np.exp(s - s.max(axis=2, keepdims=True))
+        assert (s / s.sum(axis=2, keepdims=True)).tobytes() == weights[:, lo:lo + 3].tobytes()
+    assert out_w.tobytes() == out_stream.tobytes() and var_w == var_stream
+    for got, want in zip(grads_w, grads_stream):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scorer", ["dot", "additive"])
+def test_streamed_forward_keeps_no_block(scorer):
+    # what a recorded streamed call holds after its forward, on top of its two
+    # outputs, is the per-row lse and sum(w^2): less than one (N, chunk, Lk) block
+    n, l, d, chunk = 1, 1024, 4, 64
+    q, k, v = _dot_inputs((n, l, d), (n, l, d), d, seed=32)
+    score_v = Tensor(np.ones(d), requires_grad=True) if scorer == "additive" else None
+    block_bytes = n * chunk * l * q.data.itemsize
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out, var = A.scaled_dot_attention_streaming(q, k, v, chunk=chunk, score_v=score_v)
+        held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes - var.data.nbytes
+    finally:
+        tracemalloc.stop()
+        T.reset_tape()
+    assert held < block_bytes, f"forward kept {held} bytes, one block is {block_bytes}"
 
 
 def test_gate_switches_to_streaming_beyond_limit(monkeypatch):
