@@ -201,10 +201,9 @@ def test_streamed_gradients_match_kept_map(used):
             out, second = A.scaled_dot_attention_streaming(q, k, v, chunk=3, weights=weights,
                                                            keep_map=keep_map)
             var = T.variance(second) if keep_map else second
-            terms = {"output": [T.mean(T.mul(out, out))], "variance": [T.mul(var, 3.0)]}
-            terms["both"] = terms["output"] + terms["variance"]
-            loss = terms[used][0] if len(terms[used]) == 1 else T.add(*terms[used])
-            T.backward(loss)
+            out_term, var_term = T.mean(T.mul(out, out)), T.mul(var, 3.0)
+            T.backward({"output": out_term, "variance": var_term,
+                        "both": T.add(out_term, var_term)}[used])
             grads = [t.grad for t in (q, k, v)]
             for t in (q, k, v):
                 t.zero_grad()
