@@ -21,15 +21,17 @@ pass-through *and* an SGD fixed point (all gate gradients vanish), so a
 zero-initialized attention model trains identically to the attention-free one.
 
 Every gate attends through one kernel, :func:`scaled_dot_attention_streaming`:
-one tape node for softmax(scores) V with either scorer.  Its second output is
-the gate's regularizer entry, chosen by the per-sample map size
-``Lq*Lk*itemsize``: up to ``MATERIALIZE_BYTES`` the (N, Lq, Lk) map on the
-tape; beyond it the variance of the weights, streamed in query blocks.  That
-path stores each query row's log-sum-exp and sum(w^2), never a block: backward
-recomputes a block's weights with one exp, and takes the softmax's row term from
-the output, rowsum(dO * O), plus the variance's share of sum(w^2), so it needs
-no rowsum(gw * w) over the block.  The variance needs only the sum of squares,
-as each row's mean is 1/Lk.  A sample takes the same path at every batch size.
+one tape node for softmax(scores) V with either scorer, run as one loop over
+blocks of ``BLOCK_ROWS`` query rows.  Its second output is the gate's
+regularizer entry, chosen by the per-sample map size ``Lq*Lk*itemsize``: up to
+``MATERIALIZE_BYTES`` the (N, Lq, Lk) map on the tape, written block by block;
+beyond it the variance of the weights.  A kept map's backward reads each block
+back from the map and takes the softmax's row term rowsum(gw * w) per block.
+The variance path stores each query row's log-sum-exp and sum(w^2), never a
+block: backward recomputes a block's weights with one exp, and takes the row
+term from the output, rowsum(dO * O), plus the variance's share of sum(w^2).
+The variance needs only the sum of squares, as each row's mean is 1/Lk.  A
+sample takes the same path at every batch size.
 A ``maps`` list, when passed, gets every gate's map appended, streamed or not;
 no gate keeps a map after its forward.  The projection gates share one FLOPs
 rule, ``_GateBase.mac_sites``; ``PLAGate`` yields its own rows.
@@ -46,6 +48,7 @@ from pamunet.blocks import ConvTranspose2d, IRBlock, Module, PointwiseConv
 from pamunet.tensor import ShapeError, Tensor, accumulate_grad
 
 MATERIALIZE_BYTES = 16 * 2 ** 20  # max per-sample weight-map bytes kept on the tape
+BLOCK_ROWS = 64  # query rows per attention block, kept map or not, and per additive score block
 
 
 # -- tensor-level attention cores --------------------------------------------
@@ -56,71 +59,62 @@ def to_sequence(x: Tensor) -> Tensor:
     return T.transpose(T.reshape(x, (n, c, h * w)), (0, 2, 1))
 
 
-def _dot_scorer(q: Tensor, k: Tensor, whole: bool):
-    """Scores Q K^T / sqrt(d) of query rows lo:hi, and their backward over (lo,
-    score gradient) blocks.  Same-seed bits rest on its rounding and layouts:
-    scores scale the product in place; backward scales each gradient block
-    before both of its products, passes q's gradient in C order, and sums k's
-    as (N, d, Lk), passed as that array's transpose if ``whole``, else copied
-    to C order."""
+def _dot_scorer(q: Tensor, k: Tensor):
+    """Scores Q K^T / sqrt(d) of a query row slice, and their backward over
+    (rows, score gradient) blocks.  Same-seed bits rest on its rounding and
+    layouts: scores scale the product in place; backward scales each gradient
+    block before both of its products, passes q's gradient in C order, and
+    k's as the transpose of its (N, d, Lk) sum, with no copy."""
     qd, kd = q.data, k.data
     scale = 1.0 / math.sqrt(qd.shape[-1])
 
-    def scores(lo, hi):
-        s = qd[:, lo:hi] @ kd.swapaxes(1, 2)
+    def scores(rows):
+        s = qd[:, rows] @ kd.swapaxes(1, 2)
         s *= scale
         return s
 
     def backward(blocks):
         gq = np.empty(qd.shape, qd.dtype)
         gkt = np.zeros((qd.shape[0], qd.shape[2], kd.shape[1]), kd.dtype)
-        for lo, g in blocks:
+        for rows, g in blocks:
             g *= scale
-            rows = slice(lo, lo + g.shape[1])
             gq[:, rows] = g @ kd
             gkt += qd[:, rows].swapaxes(1, 2) @ g
         accumulate_grad(q, gq)
-        gk = gkt.transpose(0, 2, 1)
-        accumulate_grad(k, gk if whole else np.ascontiguousarray(gk))
+        accumulate_grad(k, gkt.transpose(0, 2, 1))
 
     return scores, backward
 
 
-def _tanh_scorer(qp: Tensor, kp: Tensor, vvec: Tensor, chunk: int = 256):
-    """Scores s[n,i,j] = sum_d v[d] * tanh(qp[n,i,d] + kp[n,j,d]) of query rows
-    lo:hi, and their backward, which takes (lo, score gradient) blocks and passes
-    each gradient in its input's layout.  Both recompute the tanh ``chunk`` query
-    rows at a time, so the (rows, Lk, d) intermediate is never held in full."""
+def _tanh_scorer(qp: Tensor, kp: Tensor, vvec: Tensor):
+    """Scores s[n,i,j] = sum_d v[d] * tanh(qp[n,i,d] + kp[n,j,d]) of a query
+    row slice, and their backward, which takes (rows, score gradient) blocks and
+    passes each gradient in its input's layout.  Both build the (N, rows, Lk, d)
+    tanh of exactly the rows they are given, so callers bound it by their block."""
     n, lq, d = qp.shape
     if kp.shape[-1] != d or vvec.shape != (d,):
         raise ShapeError(f"additive scorer dims disagree: qp {qp.shape}, kp {kp.shape}, v {vvec.shape}")
     qd, kd, vd = qp.data, kp.data, vvec.data
 
-    def tanh_block(a, b):
-        """tanh(qp + kp) for query rows a:b against every key: (N, b - a, Lk, d)."""
-        return np.tanh(qd[:, a:b, None, :] + kd[:, None, :, :])
+    def tanh_block(rows):
+        t = qd[:, rows, None, :] + kd[:, None, :, :]
+        return np.tanh(t, out=t)
 
-    def scores(lo, hi):
-        hi = min(hi, lq)
-        out = np.empty((n, hi - lo, kd.shape[1]), dtype=qd.dtype)
-        for a in range(lo, hi, chunk):
-            out[:, a - lo:a - lo + chunk] = tanh_block(a, min(a + chunk, hi)) @ vd
-        return out
+    def scores(rows):
+        return tanh_block(rows) @ vd
 
     def backward(blocks):
         gq, gk, gv = np.zeros_like(qd), np.zeros_like(kd), np.zeros_like(vd)
-        for lo, g in blocks:
-            for a in range(lo, lo + g.shape[1], chunk):
-                gc = g[:, a - lo:a - lo + chunk]
-                t = tanh_block(a, a + gc.shape[1])
-                gv += np.einsum("nij,nijd->d", gc, t, optimize=True)
-                # reuse t in place: t <- gc * v * (1 - t^2)
-                np.multiply(t, t, out=t)
-                np.subtract(1.0, t, out=t)
-                t *= vd
-                t *= gc[..., None]
-                gq[:, a:a + gc.shape[1]] = t.sum(axis=2)
-                gk += t.sum(axis=1)
+        for rows, g in blocks:
+            t = tanh_block(rows)
+            gv += np.einsum("nij,nijd->d", g, t, optimize=True)
+            # reuse t in place: t <- g * v * (1 - t^2)
+            np.multiply(t, t, out=t)
+            np.subtract(1.0, t, out=t)
+            t *= vd
+            t *= g[..., None]
+            gq[:, rows] = t.sum(axis=2)
+            gk += t.sum(axis=1)
         accumulate_grad(qp, gq)
         accumulate_grad(kp, gk)
         accumulate_grad(vvec, gv)
@@ -128,10 +122,21 @@ def _tanh_scorer(qp: Tensor, kp: Tensor, vvec: Tensor, chunk: int = 256):
     return scores, backward
 
 
-def additive_scores(qp: Tensor, kp: Tensor, vvec: Tensor, chunk: int = 256) -> Tensor:
-    """The additive scorer as a tape op: (N,Lq,d), (N,Lk,d), (d,) -> (N,Lq,Lk)."""
-    scores, backward = _tanh_scorer(qp, kp, vvec, chunk)
-    return T._out(scores(0, qp.shape[1]), (qp, kp, vvec), lambda g: backward([(0, g)]))
+def _row_blocks(lq: int, chunk: int | None) -> list:
+    """Query row slices of ``chunk`` rows (``BLOCK_ROWS`` if None), the last ragged."""
+    chunk = BLOCK_ROWS if chunk is None else chunk
+    return [slice(lo, lo + chunk) for lo in range(0, lq, chunk)]
+
+
+def additive_scores(qp: Tensor, kp: Tensor, vvec: Tensor, chunk: int | None = None) -> Tensor:
+    """The additive scorer as a tape op: (N,Lq,d), (N,Lk,d), (d,) -> (N,Lq,Lk),
+    in blocks of ``chunk`` query rows."""
+    scores, backward = _tanh_scorer(qp, kp, vvec)
+    blocks = _row_blocks(qp.shape[1], chunk)
+    out = np.empty((qp.shape[0], qp.shape[1], kp.shape[1]), qp.data.dtype)
+    for rows in blocks:
+        out[:, rows] = scores(rows)
+    return T._out(out, (qp, kp, vvec), lambda g: backward((rows, g[:, rows]) for rows in blocks))
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor):
@@ -139,21 +144,24 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor):
     return scaled_dot_attention_streaming(q, k, v, keep_map=True)
 
 
-def scaled_dot_attention_streaming(q: Tensor, k: Tensor, v: Tensor, chunk: int = 512,
+def scaled_dot_attention_streaming(q: Tensor, k: Tensor, v: Tensor, chunk: int | None = None,
                                    weights: np.ndarray | None = None, *,
                                    score_v: Tensor | None = None, keep_map: bool = False):
     """softmax(scores) V, normalized over the keys, as one tape node.
 
     q: (N,Lq,d), k: (N,Lk,d), v: (N,Lk,c) -> ((N,Lq,c), second output).  Scores
-    are Q K^T / sqrt(d), or score_v . tanh(q + k) given a (d,) ``score_v``.  With
-    ``keep_map`` all query rows are one block and the second output is the
-    (N,Lq,Lk) weight map, whose gradient (say from ``T.variance``) joins the
-    kernel's own.  Otherwise query rows go in blocks of ``chunk`` and the second
-    output is the population variance of all weight entries, mean(w^2) - 1/Lk^2:
-    every row sums to 1, so the mean is 1/Lk and the softmax backward cancels its
-    shift.  A ``weights`` array then receives each block.
+    are Q K^T / sqrt(d), or score_v . tanh(q + k) given a (d,) ``score_v``.
+    Query rows go in blocks of ``chunk`` (``BLOCK_ROWS`` if None), kept map or
+    not.  With ``keep_map`` the second output is the (N,Lq,Lk) weight map: each
+    block's weights are written into it and the block's output is that map block
+    @ V; backward reads the block back and takes the softmax row term
+    rowsum(gw * w) per block, since the map's own gradient (say from
+    ``T.variance``) is arbitrary.  Otherwise the second output is the population
+    variance of all weight entries, mean(w^2) - 1/Lk^2: every row sums to 1, so
+    the mean is 1/Lk and the softmax backward cancels its shift.  A ``weights``
+    array receives each block's weights, which changes no other bit.
 
-    The streamed path is FlashAttention-2's (arXiv 2307.08691): forward keeps
+    The variance path is FlashAttention-2's (arXiv 2307.08691): forward keeps
     only each row's log-sum-exp and its sum(w^2), and divides the (rows, c)
     output, not the (rows, Lk) block, by the row sum.  Backward recomputes a
     block's weights as exp(scores - lse).  Its softmax row term rowsum(gw * w)
@@ -161,100 +169,74 @@ def scaled_dot_attention_streaming(q: Tensor, k: Tensor, v: Tensor, chunk: int =
     (FlashAttention, arXiv 2205.14135, App. B), so it is one (N, Lq, 1) array
     taken once per call, not a product over each block.
     """
-    scores, score_backward = (_dot_scorer(q, k, keep_map) if score_v is None
+    scores, score_backward = (_dot_scorer(q, k) if score_v is None
                               else _tanh_scorer(q, k, score_v))
-    if keep_map:
-        data, bw = _attend_kept(scores, score_backward, v, q.shape[1], weights)
-    else:
-        data, bw = _attend_streamed(scores, score_backward, v, q.data.dtype, q.shape[1],
-                                    chunk, weights)
-    return T._out(data, (q, k, v, score_v), bw)
-
-
-def _attend_kept(scores, score_backward, v, lq, weights):
-    """The map-keeping kernel: all query rows in one block, map on the tape."""
-    vd = v.data
-    w = scores(0, lq)
-    w -= w.max(axis=2, keepdims=True)
-    np.exp(w, out=w)
-    w /= w.sum(axis=2, keepdims=True)
-    if weights is not None:
-        weights[...] = w
-    out = w @ vd
-
-    def bw(gs):
-        g_out, g_w = gs
-        g_out = np.zeros_like(out) if g_out is None else g_out
-        gw = g_out @ vd.swapaxes(1, 2)
-        if g_w is not None:
-            gw += g_w
-        gv = np.zeros(vd.shape, vd.dtype)
-        gv += w.swapaxes(1, 2) @ g_out
-        score_backward([(0, w * (gw - (gw * w).sum(axis=2, keepdims=True)))])
-        accumulate_grad(v, gv)
-
-    return (out, w), bw
-
-
-def _attend_streamed(scores, score_backward, v, dtype, lq, chunk, weights):
-    """The streamed kernel: query rows in blocks of ``chunk``, variance on the
-    tape; backward holds only the output, lse and sum(w^2) of each row."""
-    vd = v.data
-    n, lk, _ = vd.shape
+    vd, dtype = v.data, q.data.dtype
+    (n, lq, _), lk = q.shape, vd.shape[1]
+    blocks = _row_blocks(lq, chunk)
     out = np.empty((n, lq, vd.shape[-1]), dtype)
+    w_map = np.empty((n, lq, lk), dtype) if keep_map else weights
     lse = np.empty((n, lq, 1), dtype)
     w_sumsq = np.empty((n, lq, 1))  # float64
-    for lo in range(0, lq, chunk):
-        rows = slice(lo, lo + chunk)
-        e = scores(lo, lo + chunk)
+    for rows in blocks:
+        e = scores(rows)
         m = e.max(axis=2, keepdims=True)
         e -= m
         np.exp(e, out=e)
         l = e.sum(axis=2, keepdims=True)
+        if w_map is not None:
+            w = np.divide(e, l, out=w_map[:, rows])
+        if keep_map:
+            out[:, rows] = w @ vd
+            continue
         np.divide(e @ vd, l, out=out[:, rows])
-        if weights is not None:
-            np.divide(e, l, out=weights[:, rows])
         lse[:, rows] = m + np.log(l)
         # float32 row sums of e^2 (einsum: no block-sized temporary) over l^2,
         # divided in float64: a float32 division moves the variance by an ulp
         w_sumsq[:, rows] = (np.einsum("nij,nij->ni", e, e)[..., None]
                             / np.square(l, dtype=np.float64))
     total = n * lq * lk
-    variance = np.asarray(w_sumsq.sum() / total - 1.0 / lk ** 2, dtype=dtype)
+    if keep_map and weights is not None:
+        weights[...] = w_map
+    second = w_map if keep_map else np.asarray(w_sumsq.sum() / total - 1.0 / lk ** 2, dtype)
 
     def bw(gs):
-        g_out, g_var = gs
-        c = 0.0 if g_var is None else float(g_var) * 2.0 / total
-        row_term = c * w_sumsq
-        if g_out is not None:
-            row_term += (g_out * out).sum(axis=2, keepdims=True, dtype=np.float64)
-        row_term = row_term.astype(dtype)
+        g_out, g_second = gs
+        g_out = np.zeros_like(out) if g_out is None else g_out
+        if not keep_map:
+            c = 0.0 if g_second is None else float(g_second) * 2.0 / total
+            row_term = (c * w_sumsq + (g_out * out).sum(axis=2, keepdims=True, dtype=np.float64)
+                        ).astype(dtype)
         gv = np.zeros(vd.shape, vd.dtype)
 
         def score_grads():
-            """(lo, score gradient) of each block: w * (gw - row term), where
-            gw = dO V^T + c w, built in place."""
+            """(rows, score gradient) of each block: w * (gw - row term), where
+            gw = dO V^T plus the second output's share, built in place."""
             nonlocal gv
-            for lo in range(0, lq, chunk):
-                rows = slice(lo, lo + chunk)
-                w = scores(lo, lo + chunk)
-                w -= lse[:, rows]
-                np.exp(w, out=w)
-                if g_out is None:
-                    gw = c * w
+            for rows in blocks:
+                if keep_map:
+                    w = w_map[:, rows]
                 else:
-                    gv += w.swapaxes(1, 2) @ g_out[:, rows]
-                    gw = g_out[:, rows] @ vd.swapaxes(1, 2)
+                    w = scores(rows)
+                    w -= lse[:, rows]
+                    np.exp(w, out=w)
+                gv += w.swapaxes(1, 2) @ g_out[:, rows]
+                gw = g_out[:, rows] @ vd.swapaxes(1, 2)
+                if keep_map:
+                    if g_second is not None:
+                        gw += g_second[:, rows]
+                    gw -= (gw * w).sum(axis=2, keepdims=True)
+                else:
                     if c:
                         gw += c * w
-                gw -= row_term[:, rows]
+                    gw -= row_term[:, rows]
                 gw *= w
-                yield lo, gw
+                yield rows, gw
 
         score_backward(score_grads())
         accumulate_grad(v, gv)
 
-    return (out, variance), bw
+    return T._out((out, second), (q, k, v, score_v), bw)
 
 
 # -- gates -------------------------------------------------------------------
@@ -274,7 +256,7 @@ class _GateBase(Module):
     """Grid check, attention and merge shared by all gate variants.
 
     Every gate attends through ``_attend``, which keeps the weight map on the
-    tape or streams it by ``MATERIALIZE_BYTES``.  A gate yields its FLOPs rows
+    tape or only its variance, by ``MATERIALIZE_BYTES``.  A gate yields its FLOPs rows
     through ``mac_sites(prefix, low_hw, up_hw)``, where ``low_hw`` is the grid
     of the lower decoder feature and ``up_hw`` the upsampled grid the gate
     attends on; the projection gates use this class's.

@@ -2,6 +2,8 @@
 
 Subcommands: synth, train, eval, predict, flops, cka, ablate.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure (NaN).
+Running out of memory (an input size or batch too large for the machine) is a
+data error too.
 
 Flags are kebab-case and mirror the TrainConfig / model config defaults; a
 JSON file passed via --config supplies overrides keyed by the field names of
@@ -401,6 +403,10 @@ def main(argv=None) -> int:
         return 3
     except (FormatError, OSError, ValueError) as e:
         print(f"data error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"data error: out of memory, the input size or batch is too large: {e}",
+              file=sys.stderr)
         return 2
 
 

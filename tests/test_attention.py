@@ -192,13 +192,13 @@ def _dot_inputs(shape_q, shape_k, c, seed):
 
 @pytest.mark.parametrize("used", ["output", "variance", "both"])
 def test_streamed_gradients_match_kept_map(used):
-    # a ragged chunk (7 rows in blocks of 3); "output" leaves the variance's
-    # gradient None, "variance" the output's
+    # a ragged chunk (7 rows in blocks of 3), against a kept map in one block of
+    # all 7 rows; "output" leaves the variance's gradient None, "variance" the output's
     with T.using_dtype(np.float64):
         q, k, v = _dot_inputs((2, 7, 3), (2, 5, 3), 4, seed=31)
 
-        def run(keep_map, weights=None):
-            out, second = A.scaled_dot_attention_streaming(q, k, v, chunk=3, weights=weights,
+        def run(keep_map, weights=None, chunk=3):
+            out, second = A.scaled_dot_attention_streaming(q, k, v, chunk=chunk, weights=weights,
                                                            keep_map=keep_map)
             var = T.variance(second) if keep_map else second
             out_term, var_term = T.mean(T.mul(out, out)), T.mul(var, 3.0)
@@ -209,7 +209,8 @@ def test_streamed_gradients_match_kept_map(used):
                 t.zero_grad()
             return out.data, var.item(), grads
 
-        out_kept, var_kept, grads_kept = run(keep_map=True)
+        out_kept, var_kept, grads_kept = run(keep_map=True, chunk=7)
+        out_kb, var_kb, grads_kb = run(keep_map=True)
         out_stream, var_stream, grads_stream = run(keep_map=False)
         weights = np.full((2, 7, 5), np.nan)
         out_w, var_w, grads_w = run(keep_map=False, weights=weights)
@@ -217,11 +218,16 @@ def test_streamed_gradients_match_kept_map(used):
     assert var_stream == pytest.approx(var_kept, abs=1e-12)
     for got, want in zip(grads_stream, grads_kept):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+    # the kept map in blocks of 3 rows takes its row terms per block
+    np.testing.assert_allclose(out_kb, out_kept, rtol=0, atol=1e-10)
+    assert var_kb == pytest.approx(var_kept, abs=1e-10)
+    for got, want in zip(grads_kb, grads_kept):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
     # the export is each block's normalized exp(scores - max), and asking for
     # it changes nothing else
-    scores, _ = A._dot_scorer(q, k, False)
+    scores, _ = A._dot_scorer(q, k)
     for lo in range(0, 7, 3):
-        s = scores(lo, lo + 3)
+        s = scores(slice(lo, lo + 3))
         s = np.exp(s - s.max(axis=2, keepdims=True))
         assert (s / s.sum(axis=2, keepdims=True)).tobytes() == weights[:, lo:lo + 3].tobytes()
     assert out_w.tobytes() == out_stream.tobytes() and var_w == var_stream
@@ -246,6 +252,30 @@ def test_streamed_forward_keeps_no_block(scorer):
         tracemalloc.stop()
         T.reset_tape()
     assert held < block_bytes, f"forward kept {held} bytes, one block is {block_bytes}"
+
+
+@pytest.mark.parametrize("scorer", ["dot", "additive"])
+def test_kept_backward_holds_map_gradient_and_few_blocks(scorer):
+    # criterion 8's 32x32 gate in float32: backward through a kept 16 MiB map
+    # needs the map's gradient (from T.variance) and a few blocks of ``chunk``
+    # query rows, a block being the (N, chunk, Lk) scores or, for the additive
+    # scorer, the (N, chunk, Lk, d) tanh; never a second or third whole map
+    n, l, d, chunk = 4, 1024, 4, 64
+    q, k, v = _dot_inputs((n, l, d), (n, l, d), d, seed=33)
+    score_v = Tensor(np.ones(d), requires_grad=True) if scorer == "additive" else None
+    block_bytes = n * chunk * l * q.data.itemsize * (d if score_v is not None else 1)
+    out, w = A.scaled_dot_attention_streaming(q, k, v, chunk=chunk, score_v=score_v, keep_map=True)
+    loss = T.add(T.mean(T.mul(out, out)), T.variance(w))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        T.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+        T.reset_tape()
+    bound = w.data.nbytes + 4 * block_bytes
+    assert peak < bound, f"backward peaked {peak} bytes above its start, bound {bound}"
 
 
 def test_gate_switches_to_streaming_beyond_limit(monkeypatch):
@@ -322,9 +352,12 @@ def _chain_forward(gate, d_low, x, skip):
 
 @pytest.mark.parametrize("variant", ["pla", "self", "cross", "additive"])
 @pytest.mark.parametrize("n,side,c", [(4, 16, 8), (4, 32, 4)])
-def test_gate_matches_tape_chain_bitwise(variant, n, side, c):
+def test_gate_matches_tape_chain_bitwise(variant, n, side, c, monkeypatch):
     # the criterion-8 grids, (4,256,8) and (4,1024,4), in float32: the loss and
-    # every gradient, whose layout decides the bits of the projections' gradients
+    # every gradient, whose layout decides the bits of the projections' gradients.
+    # With one block of every query row the kernel does the chain's arithmetic;
+    # smaller blocks split its sums across blocks, so they cannot match bit for bit
+    monkeypatch.setattr(A, "BLOCK_ROWS", side * side)
     d_low, x, skip = _gate_inputs(c_low=2 * c, c=c, h=side // 2, w=side // 2, n=n, seed=25)
     for t in (d_low, x, skip):
         t.requires_grad = True

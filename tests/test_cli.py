@@ -337,6 +337,23 @@ def test_numeric_failure_maps_to_exit_3(tmp_path, dataset, monkeypatch):
                 *TINY_MODEL]) == 3
 
 
+def test_out_of_memory_maps_to_exit_2(tmp_path, dataset, monkeypatch, capsys):
+    ckpt = tmp_path / "m.pamckpt"
+    save_checkpoint(ckpt, build(PAMUNetConfig(levels=2, base_channels=4, input_size=(16, 16)),
+                                seed=2))
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 16.0 GiB for an array with shape "
+                          "(1, 65536, 65536) and data type float32")
+
+    monkeypatch.setattr(A, "scaled_dot_attention_streaming", no_memory)
+    assert run(["predict", "--ckpt", str(ckpt), "--data", str(dataset), "--out",
+                str(tmp_path / "pred"), "--attention-dir", str(tmp_path / "attn")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: out of memory") and "16.0 GiB" in err
+    assert "Traceback" not in err
+
+
 def test_console_script_module_invocation(tmp_path):
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
