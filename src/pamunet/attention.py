@@ -48,7 +48,7 @@ from pamunet.blocks import ConvTranspose2d, IRBlock, Module, PointwiseConv
 from pamunet.tensor import ShapeError, Tensor, accumulate_grad
 
 MATERIALIZE_BYTES = 16 * 2 ** 20  # max per-sample weight-map bytes kept on the tape
-BLOCK_ROWS = 64  # query rows per attention block, kept map or not, and per additive score block
+BLOCK_ROWS = 128  # query rows per attention block, kept map or not, and per additive score block
 
 
 # -- tensor-level attention cores --------------------------------------------
@@ -256,10 +256,10 @@ class _GateBase(Module):
     """Grid check, attention and merge shared by all gate variants.
 
     Every gate attends through ``_attend``, which keeps the weight map on the
-    tape or only its variance, by ``MATERIALIZE_BYTES``.  A gate yields its FLOPs rows
-    through ``mac_sites(prefix, low_hw, up_hw)``, where ``low_hw`` is the grid
-    of the lower decoder feature and ``up_hw`` the upsampled grid the gate
-    attends on; the projection gates use this class's.
+    tape or only its variance, by ``MATERIALIZE_BYTES``.  A gate yields its
+    FLOPs rows through ``mac_sites(prefix, low_hw, up_hw)``, where ``low_hw`` is
+    the grid of the lower decoder feature and ``up_hw`` the upsampled grid the
+    gate attends on; the projection gates use this class's.
     """
 
     def _check_grids(self, x: Tensor, skip: Tensor) -> None:
