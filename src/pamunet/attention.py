@@ -32,8 +32,8 @@ block: backward recomputes a block's weights with one exp, and takes the row
 term from the output, rowsum(dO * O), plus the variance's share of sum(w^2).
 The variance needs only the sum of squares, as each row's mean is 1/Lk.  A
 sample takes the same path at every batch size.
-A ``maps`` list, when passed, gets every gate's map appended, streamed or not;
-no gate keeps a map after its forward.  The projection gates share one FLOPs
+A ``sink``, when passed, gets each block of every gate's weights, streamed or
+not, so no export holds a whole map.  The projection gates share one FLOPs
 rule, ``_GateBase.mac_sites``; ``PLAGate`` yields its own rows.
 """
 
@@ -145,7 +145,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor):
 
 
 def scaled_dot_attention_streaming(q: Tensor, k: Tensor, v: Tensor, chunk: int | None = None,
-                                   weights: np.ndarray | None = None, *,
+                                   sink=None, *,
                                    score_v: Tensor | None = None, keep_map: bool = False):
     """softmax(scores) V, normalized over the keys, as one tape node.
 
@@ -158,8 +158,10 @@ def scaled_dot_attention_streaming(q: Tensor, k: Tensor, v: Tensor, chunk: int |
     rowsum(gw * w) per block, since the map's own gradient (say from
     ``T.variance``) is arbitrary.  Otherwise the second output is the population
     variance of all weight entries, mean(w^2) - 1/Lk^2: every row sums to 1, so
-    the mean is 1/Lk and the softmax backward cancels its shift.  A ``weights``
-    array receives each block's weights, which changes no other bit.
+    the mean is 1/Lk and the softmax backward cancels its shift.  A ``sink`` is
+    called as ``sink(rows, w)`` with each block's (N, rows, Lk) normalized
+    weights, in row order, kept map or not, which changes no other bit.  It may
+    read ``w`` but not write it: for a kept map ``w`` is a view of the map.
 
     The variance path is FlashAttention-2's (arXiv 2307.08691): forward keeps
     only each row's log-sum-exp and its sum(w^2), and divides the (rows, c)
@@ -175,7 +177,7 @@ def scaled_dot_attention_streaming(q: Tensor, k: Tensor, v: Tensor, chunk: int |
     (n, lq, _), lk = q.shape, vd.shape[1]
     blocks = _row_blocks(lq, chunk)
     out = np.empty((n, lq, vd.shape[-1]), dtype)
-    w_map = np.empty((n, lq, lk), dtype) if keep_map else weights
+    w_map = np.empty((n, lq, lk), dtype) if keep_map else None
     lse = np.empty((n, lq, 1), dtype)
     w_sumsq = np.empty((n, lq, 1))  # float64
     for rows in blocks:
@@ -184,20 +186,19 @@ def scaled_dot_attention_streaming(q: Tensor, k: Tensor, v: Tensor, chunk: int |
         e -= m
         np.exp(e, out=e)
         l = e.sum(axis=2, keepdims=True)
-        if w_map is not None:
-            w = np.divide(e, l, out=w_map[:, rows])
         if keep_map:
+            w = np.divide(e, l, out=w_map[:, rows])
             out[:, rows] = w @ vd
-            continue
-        np.divide(e @ vd, l, out=out[:, rows])
-        lse[:, rows] = m + np.log(l)
-        # float32 row sums of e^2 (einsum: no block-sized temporary) over l^2,
-        # divided in float64: a float32 division moves the variance by an ulp
-        w_sumsq[:, rows] = (np.einsum("nij,nij->ni", e, e)[..., None]
-                            / np.square(l, dtype=np.float64))
+        else:
+            np.divide(e @ vd, l, out=out[:, rows])
+            lse[:, rows] = m + np.log(l)
+            # float32 row sums of e^2 (einsum: no block-sized temporary) over l^2,
+            # divided in float64: a float32 division moves the variance by an ulp
+            w_sumsq[:, rows] = (np.einsum("nij,nij->ni", e, e)[..., None]
+                                / np.square(l, dtype=np.float64))
+        if sink is not None:
+            sink(rows, w if keep_map else np.divide(e, l, out=e))
     total = n * lq * lk
-    if keep_map and weights is not None:
-        weights[...] = w_map
     second = w_map if keep_map else np.asarray(w_sumsq.sum() / total - 1.0 / lk ** 2, dtype)
 
     def bw(gs):
@@ -256,10 +257,11 @@ class _GateBase(Module):
     """Grid check, attention and merge shared by all gate variants.
 
     Every gate attends through ``_attend``, which keeps the weight map on the
-    tape or only its variance, by ``MATERIALIZE_BYTES``.  A gate yields its
-    FLOPs rows through ``mac_sites(prefix, low_hw, up_hw)``, where ``low_hw`` is
-    the grid of the lower decoder feature and ``up_hw`` the upsampled grid the
-    gate attends on; the projection gates use this class's.
+    tape or only its variance, by ``MATERIALIZE_BYTES``, and hands the kernel
+    the forward's ``sink``.  A gate yields its FLOPs rows through
+    ``mac_sites(prefix, low_hw, up_hw)``, where ``low_hw`` is the grid of the
+    lower decoder feature and ``up_hw`` the upsampled grid the gate attends on;
+    the projection gates use this class's.
     """
 
     def _check_grids(self, x: Tensor, skip: Tensor) -> None:
@@ -269,17 +271,14 @@ class _GateBase(Module):
                 "(encoder residual and upsampled decoder feature must align)"
             )
 
-    def _attend(self, x: Tensor, q: Tensor, k: Tensor, v: Tensor, maps: list | None,
+    def _attend(self, x: Tensor, q: Tensor, k: Tensor, v: Tensor, sink,
                 score_v: Tensor | None = None):
         """Returns (x + gain * attended, laid out on x's grid; regularizer entry:
-        map or variance) and appends the weight map to ``maps`` when given."""
-        (n, lq, _), lk = q.shape, k.shape[1]
+        map or variance) and hands each block of weights to ``sink`` when given."""
+        lq, lk = q.shape[1], k.shape[1]
         keep_map = lq * lk * q.data.itemsize <= MATERIALIZE_BYTES
-        weights = None if keep_map or maps is None else np.empty((n, lq, lk), q.data.dtype)
-        attended, entry = scaled_dot_attention_streaming(q, k, v, weights=weights,
+        attended, entry = scaled_dot_attention_streaming(q, k, v, sink=sink,
                                                          score_v=score_v, keep_map=keep_map)
-        if maps is not None:
-            maps.append(entry.data if keep_map else weights)
         image = T.reshape(T.transpose(attended, (0, 2, 1)), x.shape)
         return T.add(x, T.mul(self.gain, image)), entry
 
@@ -301,12 +300,12 @@ class PLAGate(_GateBase):
         self.kv = PointwiseConv(c, 2 * c)
         self.gain = _scalar_param()
 
-    def forward(self, decoder_low: Tensor, x: Tensor, skip: Tensor, maps: list | None = None):
+    def forward(self, decoder_low: Tensor, x: Tensor, skip: Tensor, sink=None):
         self._check_grids(x, skip)
         kv_src = self.upsample(self.refine(decoder_low))
         self._check_grids(kv_src, skip)
         k_img, v_img = T.split(self.kv(kv_src), 2, axis=1)
-        return self._attend(x, to_sequence(skip), to_sequence(k_img), to_sequence(v_img), maps)
+        return self._attend(x, to_sequence(skip), to_sequence(k_img), to_sequence(v_img), sink)
 
     def mac_sites(self, prefix: str, low_hw, up_hw):
         yield f"{prefix}.refine", "irblock", self.refine.macs(low_hw)
@@ -328,10 +327,10 @@ class DotAttentionGate(_GateBase):
         self.v_proj = PointwiseConv(c, c)
         self.gain = _scalar_param()
 
-    def forward(self, decoder_low: Tensor, x: Tensor, skip: Tensor, maps: list | None = None):
+    def forward(self, decoder_low: Tensor, x: Tensor, skip: Tensor, sink=None):
         self._check_grids(x, skip)
         q = to_sequence(self.q_proj(skip if self.cross else x))
-        return self._attend(x, q, to_sequence(self.k_proj(x)), to_sequence(self.v_proj(x)), maps)
+        return self._attend(x, q, to_sequence(self.k_proj(x)), to_sequence(self.v_proj(x)), sink)
 
 
 class AdditiveAttentionGate(_GateBase):
@@ -345,10 +344,10 @@ class AdditiveAttentionGate(_GateBase):
         self.v_proj = PointwiseConv(c, c)
         self.gain = _scalar_param()
 
-    def forward(self, decoder_low: Tensor, x: Tensor, skip: Tensor, maps: list | None = None):
+    def forward(self, decoder_low: Tensor, x: Tensor, skip: Tensor, sink=None):
         self._check_grids(x, skip)
         return self._attend(x, to_sequence(self.w_q(skip)), to_sequence(self.w_k(x)),
-                            to_sequence(self.v_proj(x)), maps, score_v=self.score_v)
+                            to_sequence(self.v_proj(x)), sink, score_v=self.score_v)
 
 
 def make_gate(variant: str, c_low: int, c: int, expansion: int = 6) -> _GateBase:

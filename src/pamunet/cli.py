@@ -3,7 +3,7 @@
 Subcommands: synth, train, eval, predict, flops, cka, ablate.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure (NaN).
 Running out of memory (an input size or batch too large for the machine) is a
-data error too.
+data error too, as is a gate heatmap above ``HEATMAP_BYTES`` (256 MiB).
 
 Flags are kebab-case and mirror the TrainConfig / model config defaults; a
 JSON file passed via --config supplies overrides keyed by the field names of
@@ -41,6 +41,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 CONFIG_KEYS = {f.name for cls in (PAMUNetConfig, TrainConfig) for f in fields(cls)}
+HEATMAP_BYTES = 256 * 2 ** 20  # max bytes of one gate's heatmap: a 128x128 gate's
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -128,9 +129,8 @@ def _write_text(path, text) -> None:
 
 
 def _attention_heatmap(weights: np.ndarray) -> np.ndarray:
-    """Row-normalize one (Lq, Lk) map to the 0..255 gray scale."""
+    """Row-normalize (rows, Lk) softmax weights, each row's max >= 1/Lk, to 0..255."""
     row_max = weights.max(axis=1, keepdims=True)
-    row_max[row_max == 0] = 1.0
     return np.rint(weights / row_max * 255.0).astype(np.uint8)
 
 
@@ -189,18 +189,24 @@ def cmd_predict(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     if args.attention_dir:
         os.makedirs(args.attention_dir, exist_ok=True)
+    heats = {}  # gate j -> the uint8 row blocks of this sample's heatmap
+
+    def sink(j, rows, w):
+        blocks = heats.setdefault(j, [])
+        if sum(b.nbytes for b in blocks) + w[0].size > HEATMAP_BYTES:
+            raise ValueError(f"sample {sample.id}: gate {j}'s attention heatmap exceeds "
+                             f"the {HEATMAP_BYTES}-byte cap on one heatmap")
+        blocks.append(_attention_heatmap(w[0]))
+
     for sample in samples:
         with T.no_grad():
-            out = model.forward(T.Tensor(sample.image.data[None]),
-                                maps=bool(args.attention_dir))
-            probs = T.sigmoid(out.logits)
+            probs = T.sigmoid(model.forward(T.Tensor(sample.image.data[None]),
+                                            sink=sink if args.attention_dir else None).logits)
         mask = binary_mask(probs.data[0], model.config.threshold)
         write_mask(os.path.join(args.out, f"{sample.id}_mask.pgm"), mask)
-        if args.attention_dir:
-            for j, weights in enumerate(out.maps):
-                heat = _attention_heatmap(weights[0])
-                write_image(os.path.join(args.attention_dir, f"{sample.id}_gate{j}.pgm"),
-                            heat[None])
+        for j in sorted(heats):
+            write_image(os.path.join(args.attention_dir, f"{sample.id}_gate{j}.pgm"),
+                        np.concatenate(heats.pop(j))[None])
     print(f"wrote {len(samples)} masks to {args.out}")
     return 0
 

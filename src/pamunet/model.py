@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import typing
 from dataclasses import dataclass, field, asdict
+from functools import partial
 
 import numpy as np
 
@@ -121,13 +122,11 @@ class PAMUNetConfig:
 @dataclass
 class ForwardResult:
     """``gate_maps`` holds each gate's regularizer entry: its weight map on the
-    tape, or the 0-d variance of a streamed gate.  ``maps`` is ``None`` unless
-    ``forward(maps=True)`` asked for it; then it holds every gate's (N, Lq, Lk)
-    weight map as a plain array, streamed gates included, in decoder order."""
+    tape, or the 0-d variance of a streamed gate.  ``forward(sink=...)`` calls
+    ``sink(j, rows, w)`` with each block of decoder stage j's gate weights."""
     logits: Tensor
     gate_maps: list[Tensor]
     activations: dict[str, Tensor] | None = None
-    maps: list[np.ndarray] | None = None
 
 
 class PAMUNet(Module):
@@ -178,7 +177,7 @@ class PAMUNet(Module):
 
         self.head = ConvTranspose2d(ch[0], 1, k=1, stride=1)
 
-    def forward(self, x: Tensor, capture: bool = False, maps: bool = False) -> ForwardResult:
+    def forward(self, x: Tensor, capture: bool = False, sink=None) -> ForwardResult:
         cfg = self.config
         if x.ndim != 4 or x.shape[1] != cfg.in_channels or x.shape[2:] != cfg.input_size:
             raise ShapeError(
@@ -202,13 +201,12 @@ class PAMUNet(Module):
 
         # skips[-2] pairs with the first decoder stage, skips[0] (stem) with the last
         gate_maps: list[Tensor] = []
-        weight_maps: list[np.ndarray] | None = [] if maps else None
         for j, stage in enumerate(self._dec_stages):
             skip = skips[len(skips) - 2 - j]
             x_up = stage.up.deconv(h)
             gate = getattr(stage, "gate", None)
             if gate is not None:
-                y, entry = gate(h, x_up, skip, maps=weight_maps)
+                y, entry = gate(h, x_up, skip, sink=None if sink is None else partial(sink, j))
                 gate_maps.append(entry)
             else:
                 y = x_up
@@ -217,7 +215,7 @@ class PAMUNet(Module):
 
         logits = self.head(h)
         grab("head", logits)
-        return ForwardResult(logits, gate_maps, acts, weight_maps)
+        return ForwardResult(logits, gate_maps, acts)
 
     def mac_sites(self):
         """Yield (layer name, kind, MAC count) for every multiply-bearing site,

@@ -82,10 +82,6 @@ def _setting(field: str, value):
         setattr(_STATE, field, old)
 
 
-def default_dtype():
-    return _STATE.dtype
-
-
 def using_dtype(dtype):
     """Temporarily switch the dtype used for newly created tensors."""
     return _setting("dtype", np.dtype(dtype).type)

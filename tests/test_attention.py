@@ -45,6 +45,15 @@ def test_single_position_weight_is_one():
     np.testing.assert_array_equal(out.data, v.data)
 
 
+def _array_sink(blocks: list):
+    """A weight sink that keeps a copy of each (N, rows, Lk) block, checking that
+    blocks come in row order; ``np.concatenate(blocks, axis=1)`` is the map."""
+    def sink(rows, w):
+        assert rows.start == sum(b.shape[1] for b in blocks)
+        blocks.append(w.copy())
+    return sink
+
+
 def _gate_inputs(c_low=3, c=4, h=3, w=3, n=2, seed=5):
     rng = np.random.default_rng(seed)
     d_low = Tensor(rng.standard_normal((n, c_low, h, w)))
@@ -177,11 +186,16 @@ def test_streaming_weights_output_matches_materialized_map():
     v = Tensor(rng.standard_normal((2, 5, 4)))
     _, w = A.scaled_dot_attention(q, k, v)
     out, var = A.scaled_dot_attention_streaming(q, k, v, chunk=3)
-    weights = np.full((2, 7, 5), np.nan, dtype=q.data.dtype)
-    out_w, var_w = A.scaled_dot_attention_streaming(q, k, v, chunk=3, weights=weights)
+    blocks, kept_blocks = [], []
+    out_w, var_w = A.scaled_dot_attention_streaming(q, k, v, chunk=3, sink=_array_sink(blocks))
+    weights = np.concatenate(blocks, axis=1)
     np.testing.assert_allclose(weights, w.data, atol=1e-6)
     np.testing.assert_array_equal(out_w.data, out.data)
     assert var_w.item() == var.item()
+    # a kept map in the same blocks hands over its own rows, the streamed bits
+    out_k, w_k = A.scaled_dot_attention_streaming(q, k, v, chunk=3, sink=_array_sink(kept_blocks),
+                                                  keep_map=True)
+    assert np.concatenate(kept_blocks, axis=1).tobytes() == w_k.data.tobytes() == weights.tobytes()
 
 
 def _dot_inputs(shape_q, shape_k, c, seed):
@@ -197,8 +211,8 @@ def test_streamed_gradients_match_kept_map(used):
     with T.using_dtype(np.float64):
         q, k, v = _dot_inputs((2, 7, 3), (2, 5, 3), 4, seed=31)
 
-        def run(keep_map, weights=None, chunk=3):
-            out, second = A.scaled_dot_attention_streaming(q, k, v, chunk=chunk, weights=weights,
+        def run(keep_map, sink=None, chunk=3):
+            out, second = A.scaled_dot_attention_streaming(q, k, v, chunk=chunk, sink=sink,
                                                            keep_map=keep_map)
             var = T.variance(second) if keep_map else second
             out_term, var_term = T.mean(T.mul(out, out)), T.mul(var, 3.0)
@@ -212,8 +226,9 @@ def test_streamed_gradients_match_kept_map(used):
         out_kept, var_kept, grads_kept = run(keep_map=True, chunk=7)
         out_kb, var_kb, grads_kb = run(keep_map=True)
         out_stream, var_stream, grads_stream = run(keep_map=False)
-        weights = np.full((2, 7, 5), np.nan)
-        out_w, var_w, grads_w = run(keep_map=False, weights=weights)
+        blocks, kept_blocks = [], []
+        out_w, var_w, grads_w = run(keep_map=False, sink=_array_sink(blocks))
+        out_kw, var_kw, grads_kw = run(keep_map=True, sink=_array_sink(kept_blocks))
     np.testing.assert_allclose(out_stream, out_kept, rtol=0, atol=1e-12)
     assert var_stream == pytest.approx(var_kept, abs=1e-12)
     for got, want in zip(grads_stream, grads_kept):
@@ -223,15 +238,17 @@ def test_streamed_gradients_match_kept_map(used):
     assert var_kb == pytest.approx(var_kept, abs=1e-10)
     for got, want in zip(grads_kb, grads_kept):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
-    # the export is each block's normalized exp(scores - max), and asking for
-    # it changes nothing else
+    # the export is each block's normalized exp(scores - max), kept map or not,
+    # and asking for it changes nothing else
     scores, _ = A._dot_scorer(q, k)
-    for lo in range(0, 7, 3):
+    for i, lo in enumerate(range(0, 7, 3)):
         s = scores(slice(lo, lo + 3))
         s = np.exp(s - s.max(axis=2, keepdims=True))
-        assert (s / s.sum(axis=2, keepdims=True)).tobytes() == weights[:, lo:lo + 3].tobytes()
+        assert (s / s.sum(axis=2, keepdims=True)).tobytes() == blocks[i].tobytes()
+        assert kept_blocks[i].tobytes() == blocks[i].tobytes()
     assert out_w.tobytes() == out_stream.tobytes() and var_w == var_stream
-    for got, want in zip(grads_w, grads_stream):
+    assert out_kw.tobytes() == out_kb.tobytes() and var_kw == var_kb
+    for got, want in zip(grads_w + grads_kw, grads_stream + grads_kb):
         assert got.tobytes() == want.tobytes()
 
 
@@ -299,12 +316,12 @@ def test_path_is_chosen_by_per_sample_map_bytes(side, batches, streamed):
     init_parameters(gate, 21)
     for n in batches:
         d_low, x, skip = _gate_inputs(c_low=2, c=2, h=side // 2, w=side // 2, n=n, seed=22)
-        maps = []
+        blocks = []
         with T.no_grad():
-            _, entry = gate(d_low, x, skip, maps=maps)
+            _, entry = gate(d_low, x, skip, sink=_array_sink(blocks))
         assert (entry.ndim == 0) == streamed
-        assert [m.shape for m in maps] == [(n, side * side, side * side)]
-        np.testing.assert_allclose(maps[0][:, :3].sum(axis=2), 1.0, atol=1e-5)
+        assert np.concatenate(blocks, axis=1).shape == (n, side * side, side * side)
+        np.testing.assert_allclose(blocks[0][:, :3].sum(axis=2), 1.0, atol=1e-5)
 
 
 @pytest.mark.parametrize("variant", ["pla", "self", "cross", "additive"])
@@ -317,15 +334,16 @@ def test_gate_appends_its_map_on_request(variant, path, monkeypatch):
     init_parameters(gate, 24)
     with T.no_grad():
         y, entry = gate(d_low, x, skip)
-        maps = []
-        y_m, entry_m = gate(d_low, x, skip, maps=maps)
+        blocks = []
+        y_m, entry_m = gate(d_low, x, skip, sink=_array_sink(blocks))
     np.testing.assert_array_equal(y_m.data, y.data)
     np.testing.assert_array_equal(entry_m.data, entry.data)
-    assert len(maps) == 1 and maps[0].shape == (2, 36, 36)
+    weights = np.concatenate(blocks, axis=1)
+    assert weights.shape == (2, 36, 36)
     if path == "materialized":
-        np.testing.assert_array_equal(maps[0], entry.data)
+        np.testing.assert_array_equal(weights, entry.data)
     else:
-        assert float(maps[0].var(dtype=np.float64)) == pytest.approx(entry.item(), rel=1e-5)
+        assert float(weights.var(dtype=np.float64)) == pytest.approx(entry.item(), rel=1e-5)
 
 
 def _chain_forward(gate, d_low, x, skip):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -220,6 +221,50 @@ def test_predict_exports_streamed_gate_maps(tmp_path, dataset, monkeypatch):
     assert {h.shape for h in streamed.values()} == {(1, 16, 16), (1, 64, 64)}
     for name, heat in streamed.items():
         np.testing.assert_allclose(heat, full[name], atol=1.5 / 255)
+
+
+def test_attention_export_holds_less_than_one_float_map(tmp_path):
+    # levels 2 at 128x128: the only gate attends on 64x64, so its float32 map
+    # (64 MiB) streams; the export must never hold it whole
+    data = tmp_path / "data"
+    assert run(["synth", "--out", str(data), "--count", "2", "--size", "128"]) == 0
+    ckpt = tmp_path / "m.pamckpt"
+    save_checkpoint(ckpt, build(PAMUNetConfig(levels=2, base_channels=4, input_size=(128, 128)),
+                                seed=6))
+    argv = ["predict", "--ckpt", str(ckpt), "--data", str(data / "manifest.tsv"),
+            "--split", "train", "--out", str(tmp_path / "pred")]
+    peaks = []
+    for export in ([], ["--attention-dir", str(tmp_path / "attn")]):
+        tracemalloc.start()
+        try:
+            assert run(argv + export) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(list((tmp_path / "attn").glob("*_gate0.pgm"))) == 1
+    float_map = (64 * 64) ** 2 * 4
+    assert peaks[1] - peaks[0] < float_map, f"export peaked {peaks[1] - peaks[0]} bytes higher"
+
+
+def test_oversize_heatmap_is_data_error(tmp_path, dataset, monkeypatch, capsys):
+    ckpt = tmp_path / "m.pamckpt"
+    save_checkpoint(ckpt, build(PAMUNetConfig(levels=3, base_channels=4, input_size=(16, 16)),
+                                seed=4))
+    # gate 0 attends on 4x4 (a 256-byte heatmap), gate 1 on 8x8 (4096 bytes) in
+    # blocks of 16 rows (1024 bytes): a 2048-byte cap is passed at gate 1's third block
+    monkeypatch.setattr(A, "BLOCK_ROWS", 16)
+    for cap, code in ((4096, 0), (2048, 2)):
+        monkeypatch.setattr(cli, "HEATMAP_BYTES", cap)
+        attn_dir = tmp_path / f"attn{cap}"
+        assert run(["predict", "--ckpt", str(ckpt), "--data", str(dataset), "--out",
+                    str(tmp_path / "pred"), "--attention-dir", str(attn_dir)]) == code
+    written = sorted(p.name for p in (tmp_path / "attn4096").iterdir())
+    assert [name.split("_")[-1] for name in written] == ["gate0.pgm", "gate1.pgm"]
+    assert not list((tmp_path / "attn2048").iterdir())
+    err = capsys.readouterr().err
+    sample = written[0].rsplit("_", 1)[0]
+    assert err == (f"data error: sample {sample}: gate 1's attention heatmap exceeds "
+                   "the 2048-byte cap on one heatmap\n")
 
 
 def test_cka_between_checkpoints(tmp_path, dataset):

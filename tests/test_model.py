@@ -48,23 +48,33 @@ def test_zero_input_zero_head_gives_bias_logits():
     np.testing.assert_allclose(out.logits.data, 0.37, atol=1e-6)
 
 
+def _array_sink(blocks: dict):
+    """A forward's weight sink that keeps a copy of each block of gate j in
+    ``blocks[j]``; ``np.concatenate(blocks[j], axis=1)`` is gate j's map."""
+    def sink(j, rows, w):
+        blocks.setdefault(j, []).append(w.copy())
+    return sink
+
+
 def test_variant_none_has_no_gate_maps():
     model = build(tiny_config(attention_variant="none"), seed=2)
+    blocks = {}
     with T.no_grad():
-        out = model.forward(Tensor(np.zeros((1, 1, 16, 16))), maps=True)
-    assert out.gate_maps == [] and out.maps == []
+        out = model.forward(Tensor(np.zeros((1, 1, 16, 16))), sink=_array_sink(blocks))
+    assert out.gate_maps == [] and blocks == {}
 
 
 def test_weight_maps_only_on_request():
     model = build(PAMUNetConfig(levels=3, base_channels=4, input_size=(32, 32)), seed=2)
     x = Tensor(np.random.default_rng(2).random((2, 1, 32, 32)))
+    blocks = {}
     with T.no_grad():
         plain = model.forward(x)
-        out = model.forward(x, maps=True)
-    assert plain.maps is None
-    np.testing.assert_array_equal(out.logits.data, plain.logits.data)
-    assert [m.shape for m in out.maps] == [(2, 64, 64), (2, 256, 256)]
-    for weights, entry in zip(out.maps, out.gate_maps):
+        out = model.forward(x, sink=_array_sink(blocks))
+    assert out.logits.data.tobytes() == plain.logits.data.tobytes()
+    maps = [np.concatenate(blocks[j], axis=1) for j in sorted(blocks)]
+    assert sorted(blocks) == [0, 1] and [m.shape for m in maps] == [(2, 64, 64), (2, 256, 256)]
+    for weights, entry in zip(maps, out.gate_maps):
         np.testing.assert_array_equal(weights, entry.data)
 
 
