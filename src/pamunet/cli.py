@@ -192,11 +192,11 @@ def cmd_predict(args) -> int:
     heats = {}  # gate j -> the uint8 row blocks of this sample's heatmap
 
     def sink(j, rows, w):
-        blocks = heats.setdefault(j, [])
-        if sum(b.nbytes for b in blocks) + w[0].size > HEATMAP_BYTES:
+        # every gate's map is square (_check_grids): its heatmap is Lk * Lk bytes
+        if rows.start == 0 and w.shape[2] ** 2 > HEATMAP_BYTES:
             raise ValueError(f"sample {sample.id}: gate {j}'s attention heatmap exceeds "
                              f"the {HEATMAP_BYTES}-byte cap on one heatmap")
-        blocks.append(_attention_heatmap(w[0]))
+        heats.setdefault(j, []).append(_attention_heatmap(w[0]))
 
     for sample in samples:
         with T.no_grad():

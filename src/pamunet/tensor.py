@@ -9,31 +9,34 @@ Each thread keeps its tape, its recording switch and its default dtype in one
 ``threading.local`` object, ``_STATE``; ``no_grad`` and ``using_dtype`` set
 one of its fields for the length of a block.
 
-The four conv ops share one operand check (``_conv_operands``); the transposed
-conv takes only stride == k, so its k x k output tiles never overlap.  The
-default dtype is float32; gradient-check code switches to float64 with
-``using_dtype(np.float64)``.
+The four conv ops share one operand check, ``_conv_operands``.  Tensors are
+float32 by default; gradient checks use ``using_dtype(np.float64)``.
 
-``depthwise_conv2d`` runs every kernel tap as one contiguous run.  Each
-zero-padded plane is split into its s x s stride phases: phase (a, b) holds
-rows a, a+s, ... and columns b, b+s, ... as an (Hs, Ws) plane, and at
-stride 1 it is the padded plane itself.  All phases of all planes sit in one
-contiguous (N*C, s*s, Hs+1, Ws) array, filled straight from x.  Output (r, q)
-of tap (i, j) reads phase (i mod s, j mod s) at (i//s + r, j//s + q), so with
-the phase flattened the tap covers every output in one run of Ho*Ws entries
-from (i//s)*Ws + j//s.  That run lands on a wide (Ho, Ws) grid whose first Wo
-columns are the output; the spare zero row of each phase takes the last tap's
-overrun.  The N*C planes go through in row blocks of about 384 KiB of wide
-output, so a block's phase rows, accumulator and temporary stay in cache
-across all k*k taps, and every output gets the same products added in the
-same tap order as one strided pass per tap over the whole array would give
-it.  The input gradient takes the same runs the other way: g, on the wide
-grid with zero columns and zeros around, is multiplied by each tap's kernel
-column and added in tap order into a zeroed phase-gradient plane, which is
-cropped into the x gradient.  The wide columns add +-0 to sums that start at
-+0.  Under round-to-nearest such a sum is never -0 (x + y is -0 only when
-both are), and adding +-0 to anything but -0 changes no bit, so every
-gradient bit is the one a per-tap scatter gives.
+Every conv op that pads or strides reads its input in one layout, planned by
+``_phase_plan`` and filled straight from x by ``_phase_fill``: each
+zero-padded plane split into its s x s stride phases.  Phase (a, b) holds
+rows a, a+s, ... and columns b, b+s, ... as an (Hs, Ws) plane (at stride 1,
+the padded plane itself), and all phases of all planes sit in one contiguous
+(N*C, s*s, Hs+1, Ws) array.  Output (r, q) of tap (i, j) reads phase
+(i mod s, j mod s) at (i//s + r, j//s + q), so with the phase flattened the
+tap covers every output in one run of Ho*Ws entries from (i//s)*Ws + j//s.
+That run lands on a wide (Ho, Ws) grid whose first Wo columns are the output;
+the spare zero row of each phase takes the last tap's overrun.  ``conv2d``'s
+im2col copies each tap's run, cut to Wo columns, and its input gradient adds
+each tap's products in tap order onto those columns of zeroed phase planes.
+``depthwise_conv2d`` sums the runs in row blocks of about 384 KiB of wide
+output that stay in cache across all k*k taps; each output gets the same
+products in the same tap order as one strided pass per tap would give it.
+Its input gradient adds g's runs (g on the wide grid, zeros around) times
+each tap's kernel column, in tap order, into zeroed phase planes.  The wide
+columns add +-0 to sums that start at +0, and under round-to-nearest such a
+sum is never -0, so no bit moves.  Both ops crop the phase planes into the x
+gradient.  Depthwise's kernel gradient is one einsum per tap over g and a
+strided window of the stride-1 split without the spare row, which is the
+padded array: other layouts can change einsum's summation order.
+``conv_transpose2d`` takes only stride == k and no padding, so its k x k
+output tiles never overlap and its backward gathers g's taps as g's stride
+phases, ``g[:, :, i::k, j::k]``.
 """
 
 from __future__ import annotations
@@ -402,12 +405,15 @@ def variance(x) -> Tensor:
     x = _as_tensor(x)
     n = x.data.size
     m = x.data.mean()
-    centered = x.data - m
+    sq = x.data - m
+    sq *= sq  # backward recomputes x - m, so the tape keeps no centered copy
 
     def bw(g):
-        accumulate_grad(x, g * (2.0 / n) * centered)
+        d = x.data - m
+        d *= g * (2.0 / n)
+        accumulate_grad(x, d)
 
-    return _out(np.asarray((centered * centered).mean(), dtype=x.data.dtype), (x,), bw)
+    return _out(np.asarray(sq.mean(), dtype=x.data.dtype), (x,), bw)
 
 
 def reshape(x, shape) -> Tensor:
@@ -482,23 +488,6 @@ def _conv_out_hw(hw, k: int, stride: int, padding: int = 0, transposed: bool = F
     return (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
 
 
-def _pad2d(x: np.ndarray, p: int) -> np.ndarray:
-    """Zero-pad the two trailing axes (faster than np.pad for this case)."""
-    if p == 0:
-        return x
-    n, c, h, w = x.shape
-    out = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-    out[:, :, p:p + h, p:p + w] = x
-    return out
-
-
-def _tap(i: int, j: int, ho: int, wo: int, stride: int) -> tuple:
-    """Index of the strided (ho, wo) grid of kernel tap (i, j) in a padded (N,C,H,W) array."""
-    return (slice(None), slice(None),
-            slice(i, i + (ho - 1) * stride + 1, stride),
-            slice(j, j + (wo - 1) * stride + 1, stride))
-
-
 # Wide depthwise output per row block of planes: small enough that a block's
 # accumulator, temporary and phase rows stay in a core's L2 across the taps.
 _DW_BLOCK_BYTES = 384 * 1024
@@ -506,12 +495,12 @@ _DW_BLOCK_BYTES = 384 * 1024
 
 @lru_cache(maxsize=64)
 def _phase_plan(h: int, w: int, k: int, stride: int, padding: int):
-    """Where a k x k depthwise conv over zero-padded (h, w) planes reads, once
-    they are split into stride x stride phases of (hs, ws).  Returns hs, ws,
-    the last tap's run start ``last``, per tap its phase and flat runs (forward
-    over the phase, backward over g placed at ``last``), and per phase q the
-    rows and columns of the unpadded plane it holds (xr, xc) and where they sit
-    in the phase (ur, uc)."""
+    """Where a k x k conv over zero-padded (h, w) planes reads once they are
+    split into stride x stride phases of (hs, ws), the one layout of every
+    conv (module docstring).  Returns hs, ws, the last tap's run start
+    ``last``, per tap its phase and flat runs (forward over the phase,
+    backward over g placed at ``last``), and per phase q the rows and columns
+    of the unpadded plane it holds (xr, xc) and where they sit in it (ur, uc)."""
     s, p = stride, padding
     ho, wo = _conv_out_hw((h, w), k, s, p)
     hs, ws = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
@@ -528,13 +517,21 @@ def _phase_plan(h: int, w: int, k: int, stride: int, padding: int):
     return hs, ws, last, taps, phases
 
 
-def _gather(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """Contiguous (N,Ho,Wo,C,k,k) copy of the kxk taps of a padded (N,C,H,W) array."""
-    n, c = xp.shape[:2]
-    win = np.empty((n, ho, wo, c, k, k), dtype=xp.dtype)
-    for i in range(k):
-        for j in range(k):
-            win[:, :, :, :, i, j] = xp[_tap(i, j, ho, wo, stride)].transpose(0, 2, 3, 1)
+def _phase_fill(x: np.ndarray, rows: int, ws: int, phases) -> np.ndarray:
+    """The padded x split into ``phases`` as (N*C, s*s, rows, Ws); runs need rows = Hs+1."""
+    n, c, h, w = x.shape
+    ph = np.zeros((n * c, len(phases), rows, ws), dtype=x.dtype)
+    for q, xr, ur, xc, uc in phases:
+        ph[:, q, ur, uc] = x.reshape(n * c, h, w)[:, xr, xc]
+    return ph
+
+
+def _gather(taps: list, k: int) -> np.ndarray:
+    """Contiguous (N,Ho,Wo,C,k,k) copy of k*k (N,C,Ho,Wo) tap views given in tap order."""
+    n, c, ho, wo = taps[0].shape
+    win = np.empty((n, ho, wo, c, k, k), dtype=taps[0].dtype)
+    for (i, j), tap in zip(np.ndindex(k, k), taps):
+        win[:, :, :, :, i, j] = tap.transpose(0, 2, 3, 1)
     return win
 
 
@@ -589,9 +586,13 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, *, bias=None, relu6: bo
     x, kernel, ho, wo = _conv_operands("conv2d", x, kernel, "(C_out,C_in,k,k)", 1, stride, padding)
     n, c, h, w = x.shape
     c_out, _, k, _ = kernel.shape
+    hs, ws, _, taps, phases = _phase_plan(h, w, k, stride, padding)
 
-    xp = _pad2d(x.data, padding)
-    cols = _gather(xp, k, stride, ho, wo).reshape(n, ho * wo, c * k * k)
+    def windows(ph):  # each tap's run of the phase planes ph, as an (N,C,Ho,Wo) view
+        flat = ph.reshape(n * c, len(phases), -1)
+        return [flat[:, q, run].reshape(n, c, ho, ws)[..., :wo] for q, run, _ in taps]
+
+    cols = _gather(windows(_phase_fill(x.data, hs + 1, ws, phases)), k).reshape(n, ho * wo, c * k * k)
     wm = kernel.data.reshape(c_out, c * k * k)
     out_data = (cols @ wm.T).transpose(0, 2, 1).reshape(n, c_out, ho, wo)  # channels-last
 
@@ -599,11 +600,14 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, *, bias=None, relu6: bo
         gf = g.reshape(n, c_out, ho * wo).transpose(0, 2, 1)
         accumulate_grad(kernel, np.tensordot(gf, cols, axes=([0, 1], [0, 1])).reshape(kernel.shape))
         if x.requires_grad:
-            gc = (wm.T @ g.reshape(n, c_out, ho * wo)).reshape(n, c, k, k, ho, wo)
-            gxp = np.zeros_like(xp)
-            for i, j in np.ndindex(k, k):
-                gxp[_tap(i, j, ho, wo, stride)] += gc[:, :, i, j]
-            accumulate_grad(x, gxp[:, :, padding:padding + h, padding:padding + w])
+            gc = (wm.T @ g.reshape(n, c_out, ho * wo)).reshape(n, c, k * k, ho, wo)
+            gph = np.zeros((n * c, len(phases), hs + 1, ws), dtype=x.data.dtype)
+            for t, win in enumerate(windows(gph)):
+                win += gc[:, :, t]
+            gx = np.empty(x.shape, dtype=x.data.dtype)
+            for q, xr, ur, xc, uc in phases:
+                gx.reshape(n * c, h, w)[:, xr, xc] = gph[:, q, ur, uc]
+            accumulate_grad(x, gx)
 
     return _conv_node(out_data, (x, kernel), bias, relu6, bw)
 
@@ -619,18 +623,12 @@ def depthwise_conv2d(x, kernel_d, stride: int = 1, padding: int = 0, *, bias=Non
     planes, ss = n * c, stride * stride
     rows = min(planes, max(1, _DW_BLOCK_BYTES // (ho * ws * x.data.itemsize)))
 
-    # one row block of planes at a time: a per-tap multiply-accumulate over
-    # flat runs of the phase planes into a wide (Ho, Ws) grid, whose first Wo
-    # columns are the output (module docstring); kcols[t] is tap t's kernel
-    # column, one entry per N*C plane
+    # each row block of planes sums its taps' runs on the wide grid (module
+    # docstring); kcols[t] is tap t's kernel column, one entry per N*C plane
     kcols = np.concatenate((kernel_d.data.reshape(c, k * k),) * n).T[:, :, None]
-    x3 = x.data.reshape(planes, h, w)
     out_data = np.empty((n, c, ho, wo), dtype=x.data.dtype)
     out3 = out_data.reshape(planes, ho, wo)
-    ph = np.zeros((planes, ss, hs + 1, ws), dtype=x.data.dtype)  # a spare zero row per phase
-    for q, xr, ur, xc, uc in phases:
-        ph[:, q, ur, uc] = x3[:, xr, xc]
-    flat = ph.reshape(planes, ss, -1)
+    flat = _phase_fill(x.data, hs + 1, ws, phases).reshape(planes, ss, -1)
     acc = np.empty((rows, ho, ws), dtype=x.data.dtype)
     tmp = np.empty((rows, ho * ws), dtype=x.data.dtype)
     for b0 in range(0, planes, rows):
@@ -643,17 +641,18 @@ def depthwise_conv2d(x, kernel_d, stride: int = 1, padding: int = 0, *, bias=Non
         out3[blk] = acc[:nb, :, :wo]
 
     def bw(g):
-        xp = _pad2d(x.data, padding)
+        # strided windows of the stride-1 split with no spare row keep einsum's order
+        hp, wp, _, _, split = _phase_plan(h, w, k, 1, padding)
+        xp = _phase_fill(x.data, hp, wp, split).reshape(n, c, hp, wp)
         gk = np.empty((c, k, k), dtype=g.dtype)
         for i, j in np.ndindex(k, k):
-            gk[:, i, j] = np.einsum("nchw,nchw->c", g, xp[_tap(i, j, ho, wo, stride)], optimize=False)
+            gk[:, i, j] = np.einsum("nchw,nchw->c", g, xp[:, :, i::stride, j::stride][:, :, :ho, :wo],
+                                    optimize=False)
         del xp  # the input gradient needs no padded copy
         accumulate_grad(kernel_d, gk[:, None])
         if not x.requires_grad:
             return
-        # each tap's run of g, on the wide grid and zero elsewhere, is added in
-        # tap order into its zeroed phase-gradient plane, which is then cropped
-        # straight into gx
+        # g's runs, added in tap order into phase planes cropped into gx
         gx = np.empty(x.shape, dtype=x.data.dtype)
         gx3 = gx.reshape(planes, h, w)
         gext = np.zeros((rows, last + hs * ws), dtype=g.dtype)
@@ -715,7 +714,7 @@ def conv_transpose2d(x, kernel, stride: int, *, bias=None) -> Tensor:
     out_data = out_data.reshape(n, c_out, ho, wo)
 
     def bw(g):
-        gwin = _gather(g, k, stride, h, w)
+        gwin = _gather([g[:, :, i::k, j::k] for i, j in np.ndindex(k, k)], k)
         accumulate_grad(kernel, np.tensordot(x.data, gwin, axes=([0, 2, 3], [0, 1, 2])))
         if x.requires_grad:
             gx = np.tensordot(gwin, kernel.data, axes=([3, 4, 5], [1, 2, 3]))

@@ -48,18 +48,18 @@ class TrainConfig:
     augment: bool = False
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.lambda_reg < 0:
-            raise ValueError(f"lambda_reg must be >= 0, got {self.lambda_reg}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if not 0 <= self.lambda_reg < np.inf:
+            raise ValueError(f"lambda_reg must be finite and >= 0, got {self.lambda_reg}")
 
 
 class SGD:

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gradcheck import check_gradients
 from pamunet import tensor as T
@@ -220,6 +221,59 @@ def test_conv2d_input_gradient_equals_window_scatter_bitwise(x_shape, c_out, str
     T.backward(T.tsum(T.mul(out, Tensor(g, dtype=dtype))))
     want = _scatter_reference(g, w.data, x.shape, stride, 1)
     assert x.grad.dtype == want.dtype and x.grad.tobytes() == want.tobytes()
+
+
+def _im2col_reference(x, kernel, stride, padding, g):
+    """conv2d's output and kernel gradient from an im2col read through
+    ``sliding_window_view`` over ``np.pad``, with the op's own ``cols @ W.T``
+    and ``tensordot``."""
+    n, c = x.shape[:2]
+    c_out, _, k, _ = kernel.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]  # (N,C,Ho,Wo,k,k)
+    ho, wo = win.shape[2:4]
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n, ho * wo, c * k * k)
+    out = (cols @ kernel.reshape(c_out, c * k * k).T).transpose(0, 2, 1).reshape(n, c_out, ho, wo)
+    gf = g.reshape(n, c_out, ho * wo).transpose(0, 2, 1)
+    return out, np.tensordot(gf, cols, axes=([0, 1], [0, 1])).reshape(kernel.shape)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("n", [1, 2])
+def test_conv2d_equals_im2col_reference_bitwise(n, stride, k, padding, dtype):
+    rng = np.random.default_rng(35)
+    x = Tensor(rng.standard_normal((n, 3, 9, 8)), requires_grad=True, dtype=dtype)
+    w = Tensor(rng.standard_normal((4, 3, k, k)), requires_grad=True, dtype=dtype)
+    out = T.conv2d(x, w, stride, padding)
+    g = rng.standard_normal(out.shape).astype(dtype)
+    T.backward(T.tsum(T.mul(out, Tensor(g, dtype=dtype))))
+    want = (*_im2col_reference(x.data, w.data, stride, padding, g),
+            _scatter_reference(g, w.data, x.shape, stride, padding))
+    for what, got, wnt in zip(("output", "kernel grad", "x grad"), (out.data, w.grad, x.grad), want):
+        assert got.dtype == wnt.dtype == dtype, what
+        assert got.shape == wnt.shape and got.tobytes() == wnt.tobytes(), what
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+def test_conv_transpose_gradients_equal_tile_copy_bitwise(n, k, dtype):
+    # the reference reads g's tiles through a contiguous reshape/transpose copy
+    rng = np.random.default_rng(36)
+    x = Tensor(rng.standard_normal((n, 3, 5, 4)), requires_grad=True, dtype=dtype)
+    w = Tensor(rng.standard_normal((3, 2, k, k)), requires_grad=True, dtype=dtype)
+    out = T.conv_transpose2d(x, w, k)
+    g = rng.standard_normal(out.shape).astype(dtype)
+    T.backward(T.tsum(T.mul(out, Tensor(g, dtype=dtype))))
+    tiles = np.ascontiguousarray(g.reshape(n, 2, 5, k, 4, k).transpose(0, 2, 4, 1, 3, 5))  # (N,H,W,C_out,k,k)
+    want_k = np.tensordot(x.data, tiles, axes=([0, 2, 3], [0, 1, 2]))
+    want_x = np.tensordot(tiles, w.data, axes=([3, 4, 5], [1, 2, 3])).transpose(0, 3, 1, 2)
+    for what, got, wnt in (("x grad", x.grad, want_x), ("kernel grad", w.grad, want_k)):
+        assert got.dtype == wnt.dtype == dtype, what
+        assert got.shape == wnt.shape and got.tobytes() == wnt.tobytes(), what
 
 
 @pytest.mark.parametrize("stride", [1, 2])

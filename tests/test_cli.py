@@ -171,6 +171,17 @@ def test_wrong_typed_config_value_is_data_error(tmp_path, dataset, capsys, comma
     assert err.startswith("data error:") and repr(key) in err
 
 
+@pytest.mark.parametrize("key", ["lr", "weight_decay", "lambda_reg"])
+def test_non_finite_config_value_is_data_error(tmp_path, dataset, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{key}": NaN}}')  # Python's json reads the NaN literal
+    ckpt = tmp_path / "c.pamckpt"
+    assert run(["train", "--config", str(cfg), "--data", str(dataset), "--out", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {key} must be finite") and "Traceback" not in err
+    assert not ckpt.exists()
+
+
 def test_lambda_reg_is_a_train_flag():
     args = cli.build_parser().parse_args(
         ["train", "--data", "d", "--out", "o", "--lambda-reg", "0.5"])
@@ -251,7 +262,7 @@ def test_oversize_heatmap_is_data_error(tmp_path, dataset, monkeypatch, capsys):
     save_checkpoint(ckpt, build(PAMUNetConfig(levels=3, base_channels=4, input_size=(16, 16)),
                                 seed=4))
     # gate 0 attends on 4x4 (a 256-byte heatmap), gate 1 on 8x8 (4096 bytes) in
-    # blocks of 16 rows (1024 bytes): a 2048-byte cap is passed at gate 1's third block
+    # blocks of 16 rows: a 2048-byte cap is refused at gate 1's first block
     monkeypatch.setattr(A, "BLOCK_ROWS", 16)
     for cap, code in ((4096, 0), (2048, 2)):
         monkeypatch.setattr(cli, "HEATMAP_BYTES", cap)
@@ -467,6 +478,12 @@ def _bad_invocations(tmp_path, dataset):
         (["synth", "--out", str(tmp_path / "s"), "--size", "-16"], 2, "size"),
         (["synth", "--out", str(tmp_path / "s"), "--max-blobs", "0"], 2, "max_blobs"),
         (["synth", "--out", str(tmp_path / "s"), "--count", "0"], 2, "count"),
+        (["train", *data, "--out", str(tmp_path / "m.pamckpt"), "--lr", "nan"], 2, "lr must be"),
+        (["train", *data, "--out", str(tmp_path / "m.pamckpt"), "--lr", "inf"], 2, "lr must be"),
+        (["train", *data, "--out", str(tmp_path / "m.pamckpt"), "--weight-decay", "nan"], 2, "weight_decay"),
+        (["train", *data, "--out", str(tmp_path / "m.pamckpt"), "--weight-decay", "inf"], 2, "weight_decay"),
+        (["train", *data, "--out", str(tmp_path / "m.pamckpt"), "--lambda-reg", "inf"], 2, "lambda_reg"),
+        (["train", *data, "--out", str(tmp_path / "m.pamckpt"), "--lambda-reg", "nan"], 2, "lambda_reg"),
     ]
 
 
