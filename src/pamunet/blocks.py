@@ -222,21 +222,19 @@ def param_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(name.encode("utf-8"))])
 
 
-def init_parameters(module: Module, seed: int, zero_gates: bool = False) -> None:
+def init_parameters(module: Module, seed: int) -> None:
     """Kaiming-uniform (fan-in) kernels, zero biases and gains; seeded.
 
     Gate output gains start at zero, so attention gates are pass-throughs at
     initialization and open up only as training finds the attended signal
-    useful.  With ``zero_gates`` every parameter under a ``gate`` component is
-    zeroed, which additionally makes the gates exact SGD fixed points.
+    useful.  The other gate parameters are drawn like any layer's: they get
+    gradients once a gain moves off zero.  The model without gates is
+    ``attention_variant="none"``.
     """
     if seed < 0:
         raise ValueError("seed must be non-negative")
     for name, p in module.named_parameters():
-        parts = name.split(".")
-        if zero_gates and "gate" in parts:
-            p.data[...] = 0.0
-        elif name.endswith("bias") or name.endswith("gain"):
+        if name.endswith("bias") or name.endswith("gain"):
             p.data[...] = 0.0
         else:
             bound = math.sqrt(6.0 / _fan_in(p.shape))

@@ -35,12 +35,12 @@ class ActivationSet:
 
 
 def capture(model, probe_batch: Tensor, model_tag: str = "model") -> ActivationSet:
-    """Run one forward pass and flatten every named activation per sample."""
+    """Run one forward pass and flatten every stage output per sample."""
     n = probe_batch.shape[0]
     if n < MIN_PROBE:
         raise ValueError(f"probe batch needs >= {MIN_PROBE} samples for stable centering, got {n}")
     with T.no_grad():
-        out = model.forward(probe_batch, capture=True)
+        out = model.forward(probe_batch)
     layers = {name: np.asarray(act.data, dtype=np.float64).reshape(n, -1)
               for name, act in out.activations.items()}
     return ActivationSet(model_tag=model_tag, layers=layers)

@@ -25,8 +25,8 @@ from pamunet.cka import MIN_PROBE, capture, cka_matrix
 from pamunet.data import (SPLITS, FormatError, Manifest, load_split, synth_batch,
                           synth_generate, write_image, write_mask)
 from pamunet.flops import count_flops
-from pamunet.model import (ATTENTION_VARIANTS, DECODER_KINDS, PAMUNetConfig,
-                           binary_mask, build, config_from_dict)
+from pamunet.model import (ATTENTION_VARIANTS, DECODER_KINDS, PAMUNetConfig, build,
+                           config_from_dict, predict_mask)
 from pamunet.train import (NumericError, TrainConfig, evaluate, load_checkpoint,
                            require_split, run_training, save_checkpoint)
 
@@ -153,8 +153,7 @@ def cmd_train(args) -> int:
     train_cfg = _train_config(args)
     print(f"training {model_cfg.attention_variant}/{model_cfg.decoder_kind} model, "
           f"levels={model_cfg.levels}, seed={train_cfg.seed}")
-    model, result = run_training(model_cfg, manifest, train_cfg,
-                                 zero_init_gates=args.zero_init_gates)
+    model, result = run_training(model_cfg, manifest, train_cfg)
     print(f"{model.parameter_count()} parameters")
     save_checkpoint(args.out, model, epoch=train_cfg.epochs, seed=train_cfg.seed,
                     velocities=result.velocities)
@@ -189,24 +188,25 @@ def cmd_predict(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     if args.attention_dir:
         os.makedirs(args.attention_dir, exist_ok=True)
-    heats = {}  # gate j -> the uint8 row blocks of this sample's heatmap
+    heats = {}  # gate j -> this sample's (1, Lk, Lk) uint8 heatmap
 
     def sink(j, rows, w):
-        # every gate's map is square (_check_grids): its heatmap is Lk * Lk bytes
-        if rows.start == 0 and w.shape[2] ** 2 > HEATMAP_BYTES:
-            raise ValueError(f"sample {sample.id}: gate {j}'s attention heatmap exceeds "
-                             f"the {HEATMAP_BYTES}-byte cap on one heatmap")
-        heats.setdefault(j, []).append(_attention_heatmap(w[0]))
+        if rows.start == 0:
+            # every gate's map is square (_check_grids): its heatmap is Lk * Lk bytes
+            lk = w.shape[2]
+            if lk ** 2 > HEATMAP_BYTES:
+                raise ValueError(f"sample {sample.id}: gate {j}'s attention heatmap exceeds "
+                                 f"the {HEATMAP_BYTES}-byte cap on one heatmap")
+            heats[j] = np.empty((1, lk, lk), np.uint8)
+        heats[j][0, rows] = _attention_heatmap(w[0])
 
     for sample in samples:
-        with T.no_grad():
-            probs = T.sigmoid(model.forward(T.Tensor(sample.image.data[None]),
-                                            sink=sink if args.attention_dir else None).logits)
-        mask = binary_mask(probs.data[0], model.config.threshold)
-        write_mask(os.path.join(args.out, f"{sample.id}_mask.pgm"), mask)
+        mask = predict_mask(model, T.Tensor(sample.image.data[None]),
+                            sink=sink if args.attention_dir else None)
+        write_mask(os.path.join(args.out, f"{sample.id}_mask.pgm"), mask.data[0])
         for j in sorted(heats):
             write_image(os.path.join(args.attention_dir, f"{sample.id}_gate{j}.pgm"),
-                        np.concatenate(heats.pop(j))[None])
+                        heats.pop(j))
     print(f"wrote {len(samples)} masks to {args.out}")
     return 0
 
@@ -350,8 +350,6 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="manifest.tsv path")
     p.add_argument("--out", required=True, help="checkpoint output (*.pamckpt)")
     p.add_argument("--log", help="per-epoch CSV log path")
-    p.add_argument("--zero-init-gates", action="store_true",
-                   help="start attention gates as exact pass-throughs")
     _add_model_flags(p)
     _add_train_flags(p)
     p.set_defaults(fn=cmd_train)

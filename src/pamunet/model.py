@@ -1,10 +1,11 @@
 """Full network assembly: mobile encoder, bottleneck, gated decoder, head.
 
-Layer naming contract (shared with checkpoints, FLOPs rows and activation
-capture): ``stem``, ``enc{i}.block{0,1}``, ``bottleneck.{ir,reduce}``,
-``dec{i}.{up,gate}``, ``head``.  Captured activations are keyed
-``enc{i}``, ``bottleneck``, ``dec{i}`` and ``head``: one per stage plus the
-bottleneck and the logits, 2*levels + 2 in total.
+Layer naming contract (shared with checkpoints, FLOPs rows and stage
+outputs): ``stem``, ``enc{i}.block{0,1}``, ``bottleneck.{ir,reduce}``,
+``dec{i}.{up,gate}``, ``head``.  Every forward returns its stage outputs,
+detached, keyed ``enc{i}``, ``bottleneck``, ``dec{i}`` and ``head``: one per
+stage plus the bottleneck and the logits, 2*levels + 2 in total.  CKA and the
+trainer's non-finite diagnosis read them.
 
 Every decoder stage doubles resolution with its up block's stride-2
 transposed conv, optionally runs an attention gate against the matching
@@ -76,13 +77,25 @@ class PAMUNetConfig:
 
     def __post_init__(self):
         self.input_size = tuple(self.input_size)
+        self._check_depth()  # before the default schedule, which grows with levels
         if not self.channel_schedule:
             self.channel_schedule = [self.base_channels * 2 ** i for i in range(self.levels)]
         self.validate()
 
-    def validate(self):
+    def _check_depth(self):
+        """levels >= 1 and an input size that 2^levels divides.  The test counts
+        trailing zero bits, so a huge ``levels`` fails at once, with no 2^levels built."""
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
+        h, w = self.input_size
+        if h < 1 or w < 1:
+            raise ValueError(f"input size must be positive, got {h}x{w}")
+        if min((h & -h).bit_length(), (w & -w).bit_length()) <= self.levels:
+            raise ValueError(
+                f"input size {h}x{w} is not divisible by 2^levels (levels = {self.levels})")
+
+    def validate(self):
+        self._check_depth()
         if len(self.channel_schedule) != self.levels:
             raise ValueError(
                 f"channel_schedule length {len(self.channel_schedule)} != levels {self.levels}")
@@ -99,13 +112,6 @@ class PAMUNetConfig:
             raise ValueError(f"decoder_kind must be one of {DECODER_KINDS}, got {self.decoder_kind!r}")
         if self.in_channels not in (1, 3):
             raise ValueError(f"in_channels must be 1 or 3, got {self.in_channels}")
-        div = 2 ** self.levels
-        h, w = self.input_size
-        if h < 1 or w < 1:
-            raise ValueError(f"input size must be positive, got {h}x{w}")
-        if h % div or w % div:
-            raise ValueError(
-                f"input size {h}x{w} is not divisible by 2^levels = {div}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -122,11 +128,12 @@ class PAMUNetConfig:
 @dataclass
 class ForwardResult:
     """``gate_maps`` holds each gate's regularizer entry: its weight map on the
-    tape, or the 0-d variance of a streamed gate.  ``forward(sink=...)`` calls
+    tape, or the 0-d variance of a streamed gate.  ``activations`` always holds
+    the detached stage outputs, in forward order.  ``forward(sink=...)`` calls
     ``sink(j, rows, w)`` with each block of decoder stage j's gate weights."""
     logits: Tensor
     gate_maps: list[Tensor]
-    activations: dict[str, Tensor] | None = None
+    activations: dict[str, Tensor]
 
 
 class PAMUNet(Module):
@@ -177,27 +184,23 @@ class PAMUNet(Module):
 
         self.head = ConvTranspose2d(ch[0], 1, k=1, stride=1)
 
-    def forward(self, x: Tensor, capture: bool = False, sink=None) -> ForwardResult:
+    def forward(self, x: Tensor, sink=None) -> ForwardResult:
         cfg = self.config
         if x.ndim != 4 or x.shape[1] != cfg.in_channels or x.shape[2:] != cfg.input_size:
             raise ShapeError(
                 f"input shape {x.shape} does not match configured "
                 f"(N,{cfg.in_channels},{cfg.input_size[0]},{cfg.input_size[1]})")
-        acts: dict[str, Tensor] | None = {} if capture else None
-
-        def grab(name, t):
-            if acts is not None:
-                acts[name] = t.detach()
+        acts: dict[str, Tensor] = {}
 
         h = self.stem(x)
         skips = [h]
         for i, stage in enumerate(self._enc_stages):
             h = stage.block1(stage.block0(h))
-            grab(f"enc{i}", h)
+            acts[f"enc{i}"] = h.detach()
             skips.append(h)
 
         h = self.bottleneck.reduce(self.bottleneck.ir(h))
-        grab("bottleneck", h)
+        acts["bottleneck"] = h.detach()
 
         # skips[-2] pairs with the first decoder stage, skips[0] (stem) with the last
         gate_maps: list[Tensor] = []
@@ -211,10 +214,10 @@ class PAMUNet(Module):
             else:
                 y = x_up
             h = stage.up.fuse(T.concat([y, skip], axis=1))
-            grab(f"dec{j}", h)
+            acts[f"dec{j}"] = h.detach()
 
         logits = self.head(h)
-        grab("head", logits)
+        acts["head"] = logits.detach()
         return ForwardResult(logits, gate_maps, acts)
 
     def mac_sites(self):
@@ -240,14 +243,14 @@ class PAMUNet(Module):
         yield "head", "conv_transpose", self.head.macs(hw)
 
 
-def build(config: PAMUNetConfig, seed: int, zero_init_gates: bool = False) -> PAMUNet:
+def build(config: PAMUNetConfig, seed: int) -> PAMUNet:
     """Construct and deterministically initialize a model.
 
     Parameter values are a pure function of (seed, parameter name), so two
     variants sharing backbone layer names share backbone weights bitwise.
     """
     model = PAMUNet(config)
-    init_parameters(model, seed, zero_gates=zero_init_gates)
+    init_parameters(model, seed)
     return model
 
 
@@ -256,8 +259,9 @@ def binary_mask(probs: np.ndarray, threshold: float) -> np.ndarray:
     return (probs >= threshold).astype(probs.dtype)
 
 
-def predict_mask(model: PAMUNet, x: Tensor) -> Tensor:
-    """Binary mask of one no-grad forward: sigmoid(logits) >= threshold."""
+def predict_mask(model: PAMUNet, x: Tensor, sink=None) -> Tensor:
+    """Binary mask of one no-grad forward: sigmoid(logits) >= threshold.
+    ``sink`` is handed to the forward, for the gates' weights."""
     with T.no_grad():
-        probs = T.sigmoid(model.forward(x).logits)
+        probs = T.sigmoid(model.forward(x, sink=sink).logits)
     return Tensor._wrap(binary_mask(probs.data, model.config.threshold), False)

@@ -181,13 +181,13 @@ def _stack_batch(samples: list[Sample]) -> tuple[Tensor, Tensor]:
     return x, y
 
 
-def _first_non_finite_layer(model: PAMUNet, x: Tensor) -> str:
+def _first_non_finite_layer(model: PAMUNet, activations: dict[str, Tensor]) -> str:
+    """The first non-finite parameter, else the first non-finite stage output
+    of the failing forward, else the loss."""
     for name, p in model.named_parameters():
         if not np.isfinite(p.data).all():
             return name
-    with T.no_grad():
-        out = model.forward(x, capture=True)
-    for name, act in out.activations.items():
+    for name, act in activations.items():
         if not np.isfinite(act.data).all():
             return name
     return "loss reduction"
@@ -248,7 +248,7 @@ def train(model: PAMUNet, manifest: Manifest, cfg: TrainConfig,
             lb = total_loss(probs, target, out.gate_maps, cfg.lambda_reg)
             if not np.isfinite(lb.total.data):
                 T.reset_tape()
-                layer = _first_non_finite_layer(model, x)
+                layer = _first_non_finite_layer(model, out.activations)
                 raise NumericError(
                     f"non-finite loss at epoch {epoch} (first non-finite layer: {layer})")
             T.backward(lb.total)
@@ -312,7 +312,6 @@ def init_head_prior(model: PAMUNet, manifest: Manifest, batch_size: int) -> None
 
 
 def run_training(config: PAMUNetConfig, manifest: Manifest, cfg: TrainConfig,
-                 zero_init_gates: bool = False,
                  on_epoch=None) -> tuple[PAMUNet, TrainResult]:
     """Build a fresh model, start it at the foreground prior and train it.
 
@@ -320,7 +319,7 @@ def run_training(config: PAMUNetConfig, manifest: Manifest, cfg: TrainConfig,
     and not in :func:`train`, so a resumed or chained ``train`` call keeps the
     bias it was given.
     """
-    model = build(config, seed=cfg.seed, zero_init_gates=zero_init_gates)
+    model = build(config, seed=cfg.seed)
     init_head_prior(model, manifest, cfg.batch_size)
     result = train(model, manifest, cfg, on_epoch=on_epoch)
     return model, result

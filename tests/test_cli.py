@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import types
 
@@ -432,6 +433,18 @@ def test_unknown_config_key_is_data_error(tmp_path, capsys):
     assert run(["flops", "--config", str(cfg)]) == 0
 
 
+def test_huge_levels_fail_fast_naming_levels(tmp_path, capsys):
+    # the default channel schedule holds 2^levels-sized ints: it must not be built
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"levels": 100000}))
+    for argv in (["flops", "--levels", "100000"], ["flops", "--config", str(cfg)]):
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "levels = 100000" in err and "divisible" in err
+
+
 def test_config_channel_schedule_is_honoured(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"levels": 2, "input_size": 16, "channel_schedule": [3, 5]}))
@@ -484,6 +497,8 @@ def _bad_invocations(tmp_path, dataset):
         (["train", *data, "--out", str(tmp_path / "m.pamckpt"), "--weight-decay", "inf"], 2, "weight_decay"),
         (["train", *data, "--out", str(tmp_path / "m.pamckpt"), "--lambda-reg", "inf"], 2, "lambda_reg"),
         (["train", *data, "--out", str(tmp_path / "m.pamckpt"), "--lambda-reg", "nan"], 2, "lambda_reg"),
+        (["train", *data, "--out", str(tmp_path / "m.pamckpt"), "--zero-init-gates"], 1,
+         "--zero-init-gates"),
     ]
 
 

@@ -83,10 +83,10 @@ def test_capture_yields_two_levels_plus_two_activations(levels, size):
     cfg = PAMUNetConfig(levels=levels, base_channels=4, input_size=(size, size))
     model = build(cfg, seed=3)
     with T.no_grad():
-        out = model.forward(Tensor(np.random.default_rng(3).random((2, 1, size, size))), capture=True)
+        out = model.forward(Tensor(np.random.default_rng(3).random((2, 1, size, size))))
     names = ([f"enc{i}" for i in range(levels)] + ["bottleneck"]
              + [f"dec{j}" for j in range(levels)] + ["head"])
-    assert list(out.activations) == names  # the capture keys of model.py's naming contract
+    assert list(out.activations) == names  # the stage-output keys of model.py's naming contract
     assert len(out.activations) == 2 * levels + 2
 
 
@@ -94,7 +94,7 @@ def test_mirror_symmetry_of_spatial_sizes():
     cfg = PAMUNetConfig(levels=3, base_channels=4, input_size=(32, 32))
     model = build(cfg, seed=4)
     with T.no_grad():
-        out = model.forward(Tensor(np.zeros((1, 1, 32, 32))), capture=True)
+        out = model.forward(Tensor(np.zeros((1, 1, 32, 32))))
     for j in range(cfg.levels):
         # decoder stage j restores the input resolution of encoder stage levels-1-j
         enc_input_size = 32 // 2 ** (cfg.levels - 1 - j)

@@ -12,7 +12,7 @@ from pamunet import data as D
 from pamunet import tensor as T
 from pamunet import train as TR
 from pamunet.losses import CLAMP_EPS
-from pamunet.model import PAMUNetConfig, build
+from pamunet.model import PAMUNet, PAMUNetConfig, build
 from pamunet.tensor import Tensor
 
 TINY = dict(levels=2, base_channels=4, input_size=(16, 16))
@@ -158,6 +158,7 @@ def test_checkpoint_with_legacy_lambda_reg_key_loads(tmp_path):
     (lambda h: h["params"][0][1].append(1), None, "do not match"),
     (lambda h: h["config"].update(levels="2"), None, "'levels'"),
     (lambda h: h["config"].update(input_size=[16, 16, 16]), None, "'input_size'"),
+    (lambda h: h["config"].update(levels=100000, channel_schedule=[]), None, "levels = 100000"),
     (None, lambda b: struct.pack("<f", np.nan) + b[4:], "parameter stem.kernel holds non-finite"),
     (None, lambda b: b[:-4] + struct.pack("<f", np.inf), "velocity head.bias holds non-finite"),
 ])
@@ -203,9 +204,13 @@ def test_zero_init_gates_with_lambda_zero_matches_attention_free(tmp_path, monke
     cfg = TR.TrainConfig(epochs=3, batch_size=4, seed=1, lambda_reg=0.0)
     plain_model, plain = TR.run_training(
         PAMUNetConfig(attention_variant="none", **TINY), manifest, cfg)
-    gated_model, gated = TR.run_training(
-        PAMUNetConfig(attention_variant="pla", **TINY), manifest, cfg,
-        zero_init_gates=True)
+    gated_model = build(PAMUNetConfig(attention_variant="pla", **TINY), seed=cfg.seed)
+    for name, p in gated_model.named_parameters():
+        if "gate" in name.split("."):
+            p.data[...] = 0.0  # every gate an exact pass-through and SGD fixed point
+    TR.init_head_prior(gated_model, manifest, cfg.batch_size)
+    gated = TR.train(gated_model, manifest, cfg)
+    assert len(gated.history) == 3
     for row_p, row_g in zip(plain.history, gated.history):
         assert row_p["seg_loss"] == row_g["seg_loss"]
         assert row_p["reg_loss"] == row_g["reg_loss"] == 0.0
@@ -284,6 +289,24 @@ def test_nan_abort_names_first_bad_layer(tmp_path):
     model.stem.kernel.data[0, 0, 0, 0] = np.nan
     with pytest.raises(TR.NumericError, match="stem.kernel"):
         TR.train(model, manifest, TR.TrainConfig(epochs=1, batch_size=4, seed=4))
+
+
+def test_nan_stage_output_is_named_from_the_failing_forward(tmp_path, monkeypatch):
+    manifest = _tiny_dataset(tmp_path, count=8)
+    model = build(PAMUNetConfig(**TINY), seed=4)
+    model.head.forward = lambda h: Tensor(np.full((h.shape[0], 1, 16, 16), np.nan))
+    calls = []
+    forward = PAMUNet.forward
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(PAMUNet, "forward", counting)
+    with pytest.raises(TR.NumericError, match=r"first non-finite layer: head\)"):
+        TR.train(model, manifest, TR.TrainConfig(epochs=1, batch_size=4, seed=4))
+    assert all(np.isfinite(p.data).all() for _, p in model.named_parameters())
+    assert len(calls) == 1
 
 
 def test_empty_split_rejected(tmp_path):

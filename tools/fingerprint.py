@@ -15,6 +15,8 @@ Prints one ``sha256  name`` line per file:
   ``pamunet predict --attention-dir`` writes for the test split with the
   ``c8-mobile-pla-s0``, ``c8-mobile-additive-s0`` and ``paper-default``
   checkpoints; the paper default's 64x64 gate exports a streamed map.
+  Last come the ``pamunet eval --split test`` CSV of ``c8-mobile-pla-s0``
+  and the ``pamunet cka`` CSV between it and ``c8-mobile-none-s0``.
 
 It drives only ``pamunet.cli.main``, so it runs against any checkout:
 
@@ -82,9 +84,25 @@ def _predict(workdir, name, data_dir, ckpt):
             yield _sha256(os.path.join(out, sub, fname)), f"predict/{name}/{sub}/{fname}"
 
 
+def _eval_and_cka(workdir, data_dir):
+    """Yield (sha256, name) for the test-split eval CSV of ``c8-mobile-pla-s0``
+    and for its CKA CSV against ``c8-mobile-none-s0``."""
+    pla, none = (os.path.join(workdir, "train", f"c8-mobile-{v}-s0.pamckpt") for v in ("pla", "none"))
+    commands = {
+        "eval/c8-mobile-pla-s0-test.csv": ["eval", "--ckpt", pla, "--split", "test",
+                                           "--data", os.path.join(data_dir, "manifest.tsv")],
+        "cka/c8-mobile-pla-s0-vs-none-s0.csv": ["cka", "--ckpt-a", pla, "--ckpt-b", none],
+    }
+    for name, argv in commands.items():
+        path = os.path.join(workdir, name)
+        _cli(argv + ["--out", path])
+        yield _sha256(path), name
+
+
 def train(workdir):
-    """Yield (sha256, name) for the checkpoint and log of the 13 training runs
-    and, after each run in ``PREDICTED``, for its predict outputs."""
+    """Yield (sha256, name) for the checkpoint and log of the 13 training runs,
+    after each run in ``PREDICTED`` for its predict outputs, and last for the
+    eval and CKA CSVs of :func:`_eval_and_cka`."""
     runs = []
     data = os.path.join(workdir, "data-c8")
     _cli(["synth", "--out", data, "--seed", "5", "--count", "64", "--size", "64"])
@@ -103,6 +121,7 @@ def train(workdir):
         yield _sha256(log), f"train/{name}.csv"
         if name in PREDICTED:
             yield from _predict(workdir, name, data_dir, ckpt)
+    yield from _eval_and_cka(workdir, data)
 
 
 PARTS = {"flops": flops, "train": train}
