@@ -188,16 +188,18 @@ def cmd_predict(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     if args.attention_dir:
         os.makedirs(args.attention_dir, exist_ok=True)
+        cfg = model.config
+        # gate j attends on the (H, W) >> (levels-1-j) grid; its map is square (_check_grids)
+        for j in range(cfg.levels - 1) if cfg.attention_variant != "none" else ():
+            gh, gw = (size >> cfg.levels - 1 - j for size in cfg.input_size)
+            if (gh * gw) ** 2 > HEATMAP_BYTES:
+                raise ValueError(f"gate {j}'s attention heatmap exceeds "
+                                 f"the {HEATMAP_BYTES}-byte cap on one heatmap")
     heats = {}  # gate j -> this sample's (1, Lk, Lk) uint8 heatmap
 
     def sink(j, rows, w):
         if rows.start == 0:
-            # every gate's map is square (_check_grids): its heatmap is Lk * Lk bytes
-            lk = w.shape[2]
-            if lk ** 2 > HEATMAP_BYTES:
-                raise ValueError(f"sample {sample.id}: gate {j}'s attention heatmap exceeds "
-                                 f"the {HEATMAP_BYTES}-byte cap on one heatmap")
-            heats[j] = np.empty((1, lk, lk), np.uint8)
+            heats[j] = np.empty((1, w.shape[2], w.shape[2]), np.uint8)
         heats[j][0, rows] = _attention_heatmap(w[0])
 
     for sample in samples:

@@ -27,13 +27,13 @@ each tap's products in tap order onto those columns of zeroed phase planes.
 ``depthwise_conv2d`` sums the runs in row blocks of about 384 KiB of wide
 output that stay in cache across all k*k taps; each output gets the same
 products in the same tap order as one strided pass per tap would give it.
-Its input gradient adds g's runs (g on the wide grid, zeros around) times
-each tap's kernel column, in tap order, into zeroed phase planes.  The wide
-columns add +-0 to sums that start at +0, and under round-to-nearest such a
-sum is never -0, so no bit moves.  Both ops crop the phase planes into the x
-gradient.  Depthwise's kernel gradient is one einsum per tap over g and a
-strided window of the stride-1 split without the spare row, which is the
-padded array: other layouts can change einsum's summation order.
+Its backward refills each block's phase planes.  Per plane and tap, its
+kernel gradient is one dot of g's wide rows with the tap's run, summed over
+the batch last: an order that no block size changes.  Its input gradient
+adds g's runs (zeros around g) times each tap's kernel column, in tap order,
+into zeroed phase planes.  The wide columns add +-0 to sums that start at
++0, and under round-to-nearest such a sum is never -0, so no bit moves.
+Both ops crop the phase planes into the x gradient.
 ``conv_transpose2d`` takes only stride == k and no padding, so its k x k
 output tiles never overlap and its backward gathers g's taps as g's stride
 phases, ``g[:, :, i::k, j::k]``.
@@ -495,12 +495,12 @@ _DW_BLOCK_BYTES = 384 * 1024
 
 @lru_cache(maxsize=64)
 def _phase_plan(h: int, w: int, k: int, stride: int, padding: int):
-    """Where a k x k conv over zero-padded (h, w) planes reads once they are
-    split into stride x stride phases of (hs, ws), the one layout of every
-    conv (module docstring).  Returns hs, ws, the last tap's run start
-    ``last``, per tap its phase and flat runs (forward over the phase,
-    backward over g placed at ``last``), and per phase q the rows and columns
-    of the unpadded plane it holds (xr, xc) and where they sit in it (ur, uc)."""
+    """Where a k x k conv reads zero-padded (h, w) planes split into stride x
+    stride phases of (hs, ws), the one layout of every conv (module docstring).
+    Returns hs, ws, the last tap's run start ``last``, per tap its phase and
+    flat runs (over the phase for the forward and kernel gradient, over g at
+    ``last`` for the input gradient), and per phase q the rows and columns of
+    the unpadded plane it holds (xr, xc) and where they sit in it (ur, uc)."""
     s, p = stride, padding
     ho, wo = _conv_out_hw((h, w), k, s, p)
     hs, ws = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
@@ -517,12 +517,12 @@ def _phase_plan(h: int, w: int, k: int, stride: int, padding: int):
     return hs, ws, last, taps, phases
 
 
-def _phase_fill(x: np.ndarray, rows: int, ws: int, phases) -> np.ndarray:
-    """The padded x split into ``phases`` as (N*C, s*s, rows, Ws); runs need rows = Hs+1."""
-    n, c, h, w = x.shape
-    ph = np.zeros((n * c, len(phases), rows, ws), dtype=x.dtype)
+def _phase_fill(x: np.ndarray, hs: int, ws: int, phases) -> np.ndarray:
+    """x's zero-padded (..., H, W) planes split into ``phases`` as (planes, s*s, Hs+1, Ws)."""
+    planes = x.reshape(-1, *x.shape[-2:])
+    ph = np.zeros((len(planes), len(phases), hs + 1, ws), dtype=x.dtype)
     for q, xr, ur, xc, uc in phases:
-        ph[:, q, ur, uc] = x.reshape(n * c, h, w)[:, xr, xc]
+        ph[:, q, ur, uc] = planes[:, xr, xc]
     return ph
 
 
@@ -592,7 +592,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, *, bias=None, relu6: bo
         flat = ph.reshape(n * c, len(phases), -1)
         return [flat[:, q, run].reshape(n, c, ho, ws)[..., :wo] for q, run, _ in taps]
 
-    cols = _gather(windows(_phase_fill(x.data, hs + 1, ws, phases)), k).reshape(n, ho * wo, c * k * k)
+    cols = _gather(windows(_phase_fill(x.data, hs, ws, phases)), k).reshape(n, ho * wo, c * k * k)
     wm = kernel.data.reshape(c_out, c * k * k)
     out_data = (cols @ wm.T).transpose(0, 2, 1).reshape(n, c_out, ho, wo)  # channels-last
 
@@ -628,7 +628,7 @@ def depthwise_conv2d(x, kernel_d, stride: int = 1, padding: int = 0, *, bias=Non
     kcols = np.concatenate((kernel_d.data.reshape(c, k * k),) * n).T[:, :, None]
     out_data = np.empty((n, c, ho, wo), dtype=x.data.dtype)
     out3 = out_data.reshape(planes, ho, wo)
-    flat = _phase_fill(x.data, hs + 1, ws, phases).reshape(planes, ss, -1)
+    flat = _phase_fill(x.data, hs, ws, phases).reshape(planes, ss, -1)
     acc = np.empty((rows, ho, ws), dtype=x.data.dtype)
     tmp = np.empty((rows, ho * ws), dtype=x.data.dtype)
     for b0 in range(0, planes, rows):
@@ -641,36 +641,34 @@ def depthwise_conv2d(x, kernel_d, stride: int = 1, padding: int = 0, *, bias=Non
         out3[blk] = acc[:nb, :, :wo]
 
     def bw(g):
-        # strided windows of the stride-1 split with no spare row keep einsum's order
-        hp, wp, _, _, split = _phase_plan(h, w, k, 1, padding)
-        xp = _phase_fill(x.data, hp, wp, split).reshape(n, c, hp, wp)
-        gk = np.empty((c, k, k), dtype=g.dtype)
-        for i, j in np.ndindex(k, k):
-            gk[:, i, j] = np.einsum("nchw,nchw->c", g, xp[:, :, i::stride, j::stride][:, :, :ho, :wo],
-                                    optimize=False)
-        del xp  # the input gradient needs no padded copy
-        accumulate_grad(kernel_d, gk[:, None])
-        if not x.requires_grad:
-            return
-        # g's runs, added in tap order into phase planes cropped into gx
-        gx = np.empty(x.shape, dtype=x.data.dtype)
-        gx3 = gx.reshape(planes, h, w)
+        # per row block: refill its phase planes, dot g's wide rows (zero past Wo)
+        # with each tap's run for the kernel gradient, and add g's runs times each
+        # tap's kernel column, in tap order, into zeroed phase planes cropped into gx
+        gkp = np.empty((planes, k * k), dtype=g.dtype)
+        gx = np.empty(x.shape, dtype=x.data.dtype) if x.requires_grad else None
         gext = np.zeros((rows, last + hs * ws), dtype=g.dtype)
-        gwin = gext[:, last:last + ho * ws].reshape(rows, ho, ws)[:, :, :wo]
+        gwide = gext[:, last:last + ho * ws]
+        gwin = gwide.reshape(rows, ho, ws)[:, :, :wo]
         gtmp = np.empty((rows, hs * ws), dtype=g.dtype)
         gph = np.empty((ss, rows, hs * ws), dtype=x.data.dtype)
-        g3 = g.reshape(planes, ho, wo)
+        g3, x3 = g.reshape(planes, ho, wo), x.data.reshape(planes, h, w)
         for b0 in range(0, planes, rows):
             blk, nb = slice(b0, b0 + rows), min(rows, planes - b0)
             gwin[:nb] = g3[blk]
-            tb = gtmp[:nb]
-            gph[:, :nb] = 0
-            for (q, _, run), kc in zip(taps, kcols[:, blk]):
-                np.multiply(gext[:nb, run], kc, out=tb)
-                gph[q, :nb] += tb
-            for q, xr, ur, xc, uc in phases:
-                gx3[blk, xr, xc] = gph[q, :nb].reshape(nb, hs, ws)[:, ur, uc]
-        accumulate_grad(x, gx)
+            ph = _phase_fill(x3[blk], hs, ws, phases).reshape(nb, ss, -1)
+            for t, (q, run, _) in enumerate(taps):
+                gkp[blk, t] = np.einsum("pi,pi->p", gwide[:nb], ph[:, q, run])
+            if gx is not None:
+                tb = gtmp[:nb]
+                gph[:, :nb] = 0
+                for (q, _, run), kc in zip(taps, kcols[:, blk]):
+                    np.multiply(gext[:nb, run], kc, out=tb)
+                    gph[q, :nb] += tb
+                for q, xr, ur, xc, uc in phases:
+                    gx.reshape(planes, h, w)[blk, xr, xc] = gph[q, :nb].reshape(nb, hs, ws)[:, ur, uc]
+        accumulate_grad(kernel_d, gkp.reshape(n, c, 1, k, k).sum(axis=0))
+        if gx is not None:
+            accumulate_grad(x, gx)
 
     return _conv_node(out_data, (x, kernel_d), bias, relu6, bw)
 

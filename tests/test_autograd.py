@@ -287,8 +287,9 @@ def test_fd_depthwise(stride):
 def _depthwise_reference(x, kd, bias, stride, padding, upstream):
     """depthwise_conv2d as the op once computed it, with ``bias=`` and
     ``relu6=True`` unless ``bias`` is None: one strided pass over the whole
-    padded input per kernel tap, forward and backward.  Returns the output and
-    the x, kernel and bias gradients."""
+    padded input per kernel tap, forward and backward, with the kernel
+    gradient summed in the op's order.  Returns the output and the x, kernel
+    and bias gradients."""
     n, c, h, w = x.shape
     k = kd.shape[2]
     ho, wo = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
@@ -312,14 +313,23 @@ def _depthwise_reference(x, kd, bias, stride, padding, upstream):
         np.minimum(out, 6, out=out)
         g = upstream * ((out > 0) & (out < 6))
         gb = g.sum(axis=0).sum(axis=(1, 2), keepdims=True)
-    gk = np.empty((c, k, k), g.dtype)
+    # the kernel gradient per (n, c) plane on the wide (Ho, Ws) grid, zeros
+    # past Wo in both factors, then summed over the batch
+    ws = -(-(w + 2 * padding) // stride)
+
+    def wide(a):
+        grid = np.zeros((n * c, ho, ws), a.dtype)
+        grid[:, :, :wo] = a.reshape(n * c, ho, wo)
+        return grid.reshape(n * c, ho * ws)
+
+    gk = np.empty((n, c, k, k), g.dtype)
     gxp = np.zeros_like(xp)
     prod = np.empty_like(g)
     for i, j in np.ndindex(k, k):
-        gk[:, i, j] = np.einsum("nchw,nchw->c", g, xp[tap(i, j)], optimize=False)
+        gk[:, :, i, j] = np.einsum("pi,pi->p", wide(g), wide(xp[tap(i, j)])).reshape(n, c)
         np.multiply(g, kd[None, :, 0, i, j, None, None], out=prod)
         gxp[tap(i, j)] += prod
-    return out, gxp[:, :, padding:padding + h, padding:padding + w], gk[:, None], gb
+    return out, gxp[:, :, padding:padding + h, padding:padding + w], gk.sum(axis=0)[:, None], gb
 
 
 def _check_depthwise_bitwise(shape, k, stride, padding, dtype, x_grad=True, fused=True):
@@ -349,7 +359,7 @@ def _check_depthwise_bitwise(shape, k, stride, padding, dtype, x_grad=True, fuse
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", [(2, 8, 32, 32), (2, 3, 17, 15)])
+@pytest.mark.parametrize("shape", [(2, 8, 32, 32), (2, 3, 17, 15), (1, 5, 9, 12)])
 @pytest.mark.parametrize("k,padding", [(1, 0), (1, 1), (3, 0), (3, 1)])
 @pytest.mark.parametrize("stride", [1, 2])
 def test_depthwise_equals_per_tap_reference_bitwise(stride, k, padding, shape, dtype):
@@ -379,10 +389,30 @@ def test_depthwise_bitwise_over_small_row_blocks(stride, monkeypatch):
 
 
 @pytest.mark.parametrize("stride", [1, 2])
+def test_depthwise_float32_kernel_gradient_is_accurate(stride):
+    # at a paper-sized shape each kernel-gradient entry sums 2 x 64 x 64
+    # (stride 1) products; the float64 op on the same float32 values is the reference
+    rng = np.random.default_rng(37)
+    x = rng.standard_normal((2, 96, 64, 64)).astype(np.float32)
+    kd = rng.standard_normal((96, 1, 3, 3)).astype(np.float32)
+    g = rng.standard_normal((2, 96, 64 // stride, 64 // stride)).astype(np.float32)
+    grads = []
+    for dtype in (np.float32, np.float64):
+        k = Tensor(kd, requires_grad=True, dtype=dtype)
+        out = T.depthwise_conv2d(Tensor(x, dtype=dtype), k, stride, 1)
+        T.backward(T.tsum(T.mul(out, Tensor(g, dtype=dtype))))
+        grads.append(k.grad)
+    got, ref = grads
+    assert got.dtype == np.float32 and ref.dtype == np.float64
+    assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("stride", [1, 2])
 def test_depthwise_backward_memory(stride):
-    """The backward holds at most the upstream gradient, two padded-input-sized
-    arrays (the padded input the kernel gradient reads, and room for one more)
-    and the new x gradient: no full-size product or cropped copy."""
+    """The backward holds the upstream gradient, the new x gradient and a few
+    row-block buffers, among them the block's refilled phase planes: no padded
+    copy of the whole input, full-size product or cropped copy.  The bound
+    leaves room for two padded-input-sized arrays besides."""
     n, c, h, w = 2, 32, 128, 128
     rng = np.random.default_rng(34)
     x = Tensor(rng.standard_normal((n, c, h, w)), requires_grad=True, dtype=np.float32)

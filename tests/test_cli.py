@@ -262,21 +262,28 @@ def test_oversize_heatmap_is_data_error(tmp_path, dataset, monkeypatch, capsys):
     ckpt = tmp_path / "m.pamckpt"
     save_checkpoint(ckpt, build(PAMUNetConfig(levels=3, base_channels=4, input_size=(16, 16)),
                                 seed=4))
-    # gate 0 attends on 4x4 (a 256-byte heatmap), gate 1 on 8x8 (4096 bytes) in
-    # blocks of 16 rows: a 2048-byte cap is refused at gate 1's first block
-    monkeypatch.setattr(A, "BLOCK_ROWS", 16)
+    # gate 0 attends on 4x4 (a 256-byte heatmap), gate 1 on 8x8 (4096 bytes):
+    # a 2048-byte cap is refused before the first forward
+    forwards = []
+    forward = PAMUNet.forward
+
+    def counting(self, *args, **kwargs):
+        forwards.append(1)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(PAMUNet, "forward", counting)
     for cap, code in ((4096, 0), (2048, 2)):
         monkeypatch.setattr(cli, "HEATMAP_BYTES", cap)
         attn_dir = tmp_path / f"attn{cap}"
+        forwards.clear()
         assert run(["predict", "--ckpt", str(ckpt), "--data", str(dataset), "--out",
                     str(tmp_path / "pred"), "--attention-dir", str(attn_dir)]) == code
+    assert not forwards
     written = sorted(p.name for p in (tmp_path / "attn4096").iterdir())
     assert [name.split("_")[-1] for name in written] == ["gate0.pgm", "gate1.pgm"]
     assert not list((tmp_path / "attn2048").iterdir())
     err = capsys.readouterr().err
-    sample = written[0].rsplit("_", 1)[0]
-    assert err == (f"data error: sample {sample}: gate 1's attention heatmap exceeds "
-                   "the 2048-byte cap on one heatmap\n")
+    assert err == "data error: gate 1's attention heatmap exceeds the 2048-byte cap on one heatmap\n"
 
 
 def test_cka_between_checkpoints(tmp_path, dataset):

@@ -15,20 +15,24 @@ change that moves criterion-8 bits can be judged on more than one draw:
 
 For each dataset it prints MED and PLA Dice and their paired difference per
 seed, then the mean, sample standard deviation and count of positive
-differences over seeds 0-2, 3-5 and 0-5.  That is 48 trainings, about 13
-minutes on a 2-core x86_64 host.  It pins OpenBLAS to one thread unless the
-caller sets ``OPENBLAS_NUM_THREADS``, so a rerun on one machine repeats every
-figure:
+differences over seeds 0-2, 3-5 and 0-5.  That is 48 trainings.  The
+datasets run in parallel, one worker process each, up to 4 workers and no more
+than the CPUs this process may run on; the reports print in dataset order.
+Each worker pins OpenBLAS to one thread unless the caller sets
+``OPENBLAS_NUM_THREADS``, so a rerun on one machine repeats every figure,
+whatever the number of workers:
 
     PYTHONPATH=src python3 tools/heldout.py
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import statistics
 import sys
 import tempfile
+from functools import partial
 
 DATASETS = (6, 7, 8, 9)
 SEEDS = (0, 1, 2, 3, 4, 5)
@@ -52,16 +56,21 @@ def report(dataset: int, rows) -> list[str]:
     return lines
 
 
-def main() -> int:
+def heldout(tmp: str, dataset: int) -> str:
+    """One dataset's ablation, trained under ``tmp``, as its printed report."""
     from pamunet import data as D  # here, so that BLAS threads are pinned before numpy loads
     from pamunet.cli import run_ablation
 
-    with tempfile.TemporaryDirectory() as tmp:
-        for dataset in DATASETS:
-            manifest = D.synth_generate(os.path.join(tmp, str(dataset)), seed=dataset,
-                                        count=64, size=64)
-            rows, _ = run_ablation(MODEL, TRAIN, manifest, list(SEEDS), VARIANTS)
-            print("\n".join(report(dataset, rows)) + "\n", flush=True)
+    manifest = D.synth_generate(os.path.join(tmp, str(dataset)), seed=dataset, count=64, size=64)
+    rows, _ = run_ablation(MODEL, TRAIN, manifest, list(SEEDS), VARIANTS)
+    return "\n".join(report(dataset, rows)) + "\n"
+
+
+def main() -> int:
+    workers = min(len(DATASETS), len(os.sched_getaffinity(0)))
+    with tempfile.TemporaryDirectory() as tmp, multiprocessing.get_context("spawn").Pool(workers) as pool:
+        for text in pool.imap(partial(heldout, tmp), DATASETS):
+            print(text, flush=True)
     return 0
 
 
