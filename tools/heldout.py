@@ -18,7 +18,8 @@ seed, then the mean, sample standard deviation and count of positive
 differences over seeds 0-2, 3-5 and 0-5.  That is 48 trainings.  The
 datasets run in parallel, one worker process each, up to 4 workers and no more
 than the CPUs this process may run on; the reports print in dataset order.
-Each worker pins OpenBLAS to one thread unless the caller sets
+On a 2-core x86_64 host that takes about 6 minutes, against 13 one by one.
+The workers run with OpenBLAS pinned to one thread unless the caller sets
 ``OPENBLAS_NUM_THREADS``, so a rerun on one machine repeats every figure,
 whatever the number of workers:
 
